@@ -3,7 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 
 #include "results/doc.hpp"
@@ -105,22 +108,36 @@ void check_manifest(const std::string& line, const CampaignSpec& spec,
   }
 }
 
-std::map<std::size_t, CellResult> load_rows(std::istream& in,
-                                            const CampaignSpec& spec,
-                                            const std::string& path) {
+/// A store's rows plus the length of its intact prefix.
+struct LoadedRows {
+  std::map<std::size_t, CellResult> rows;
+  std::size_t intact_bytes = 0;
+};
+
+LoadedRows load_rows(std::istream& in, const CampaignSpec& spec,
+                     const std::string& path) {
+  const std::string content((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  // Every append writes one whole line, so a run killed mid-append
+  // leaves an unterminated last line. That line is dropped (its cell
+  // runs again); any other line that does not parse is corruption.
+  const std::size_t last_newline = content.rfind('\n');
+  LoadedRows loaded;
+  loaded.intact_bytes =
+      last_newline == std::string::npos ? 0 : last_newline + 1;
+  std::istringstream lines(content.substr(0, loaded.intact_bytes));
   std::string line;
-  if (!std::getline(in, line)) {
+  if (!std::getline(lines, line)) {
     throw std::invalid_argument("campaign store: " + path + " is empty");
   }
   check_manifest(line, spec, path);
-  std::map<std::size_t, CellResult> results;
-  while (std::getline(in, line)) {
+  while (std::getline(lines, line)) {
     if (line.empty()) continue;
     const CellResult result = deserialize_cell(line);
     // Later rows win: a resumed run re-records previously failed cells.
-    results.insert_or_assign(result.cell.index, result);
+    loaded.rows.insert_or_assign(result.cell.index, result);
   }
-  return results;
+  return loaded;
 }
 
 }  // namespace
@@ -259,7 +276,13 @@ ResultStore::ResultStore(std::string path, const CampaignSpec& spec,
     std::ifstream in(path_);
     if (in.good()) {
       exists = true;
-      results_ = load_rows(in, spec, path_);
+      LoadedRows loaded = load_rows(in, spec, path_);
+      results_ = std::move(loaded.rows);
+      in.close();
+      // Cut a torn last line off before appending after it.
+      if (std::filesystem::file_size(path_) > loaded.intact_bytes) {
+        std::filesystem::resize_file(path_, loaded.intact_bytes);
+      }
     }
   }
   file_ = std::fopen(path_.c_str(), exists ? "ab" : "wb");
@@ -316,7 +339,7 @@ std::map<std::size_t, CellResult> ResultStore::load(
   if (!in.good()) {
     throw std::runtime_error("campaign store: cannot read " + path);
   }
-  return load_rows(in, spec, path);
+  return load_rows(in, spec, path).rows;
 }
 
 }  // namespace idseval::campaign

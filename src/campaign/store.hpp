@@ -34,8 +34,11 @@ class ResultStore {
   /// Opens the store at `path`. `fresh == true` truncates any existing
   /// file and writes a new manifest; `fresh == false` (resume) loads the
   /// existing rows first — throwing std::invalid_argument when the
-  /// manifest fingerprint does not match `spec` — and appends after
-  /// them. A missing file is created either way.
+  /// manifest fingerprint does not match `spec` or a row is corrupt —
+  /// and appends after them. An unterminated last line (an append cut
+  /// short by a killed run) is not corruption: resume cuts it off the
+  /// file and its cell counts as not yet run. A missing file is created
+  /// either way.
   ResultStore(std::string path, const CampaignSpec& spec, bool fresh);
   ~ResultStore();
 
@@ -60,7 +63,8 @@ class ResultStore {
   void append(const CellResult& result);
 
   /// Reads a store file without opening it for writing; verifies the
-  /// manifest against `spec` the same way resume does.
+  /// manifest against `spec` and skips a torn last line the same way
+  /// resume does.
   static std::map<std::size_t, CellResult> load(
       const std::string& path, const CampaignSpec& spec);
 

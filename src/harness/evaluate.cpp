@@ -120,21 +120,16 @@ Evaluation evaluate_product(const TestbedConfig& env,
     // traceable) separately from the detection window's snapshot above.
     RunContext probes(&m.load_probe_telemetry,
                       ctx != nullptr ? ctx->trace() : nullptr);
-    m.zero_loss_pps = measure_zero_loss_pps(env, model,
-                                            options.sensitivity,
-                                            /*max_scale=*/96.0,
-                                            /*loss_epsilon=*/1e-4,
-                                            /*iterations=*/7, &probes);
-    m.system_throughput_pps = measure_system_throughput_pps(
-        env, model, options.sensitivity, /*overload_scale=*/96.0, &probes);
+    if (ctx != nullptr) probes.set_probe_executor(ctx->probe_executor());
+    const LoadMetrics load =
+        measure_load_metrics(env, model, options.sensitivity, {}, &probes);
+    m.zero_loss_pps = load.zero_loss_pps;
     // Anything sustained at zero loss was by definition processed
     // successfully; the ladder's granularity must not report less.
     m.system_throughput_pps =
-        std::max(m.system_throughput_pps, m.zero_loss_pps);
-    m.lethal_dose_pps = measure_lethal_dose_pps(
-        env, model, options.sensitivity, /*max_scale=*/128.0, &probes);
-    m.induced_latency_sec = measure_induced_latency_sec(
-        env, model, options.sensitivity, &probes);
+        std::max(load.system_throughput_pps, m.zero_loss_pps);
+    m.lethal_dose_pps = load.lethal_dose_pps;
+    m.induced_latency_sec = load.induced_latency_sec;
 
     card.set(MetricId::kMaxThroughputZeroLoss,
              core::score_zero_loss_throughput(m.zero_loss_pps),

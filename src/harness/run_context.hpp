@@ -20,6 +20,8 @@ class ScoreLedger;
 
 namespace idseval::harness {
 
+class ProbeExecutor;
+
 class RunContext {
  public:
   /// Self-owned registry, no trace.
@@ -50,6 +52,14 @@ class RunContext {
   }
   score::ScoreLedger* score_ledger() const noexcept { return score_ledger_; }
 
+  /// Executor the load probes run on; null (the default) selects the
+  /// process-wide ProbeExecutor::shared(). Results do not depend on it —
+  /// only wall-clock time does.
+  void set_probe_executor(ProbeExecutor* executor) noexcept {
+    probe_executor_ = executor;
+  }
+  ProbeExecutor* probe_executor() const noexcept { return probe_executor_; }
+
   /// Emits one event Doc to the trace; no-op without a sink.
   void emit(const results::Doc& event) {
     if (trace_ != nullptr) trace_->emit(event);
@@ -74,6 +84,7 @@ class RunContext {
   telemetry::Registry* registry_;
   telemetry::TraceSink* trace_ = nullptr;
   score::ScoreLedger* score_ledger_ = nullptr;
+  ProbeExecutor* probe_executor_ = nullptr;
 };
 
 /// Standard trace events shared by the evaluate/rank commands: the

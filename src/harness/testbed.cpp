@@ -157,41 +157,49 @@ RunResult Testbed::run_phases(const Inject& inject) {
     sim_.schedule_at(t, [this] { streams_.expire(sim_.now()); });
   }
 
-  // --- Phase 1: warmup. Anomaly engines learn the clean baseline. --------
-  if (pipeline_ != nullptr) pipeline_->set_learning(true);
-  flowgen_->start(measure_end);  // arrivals span warmup + measurement
-  engine_.run_until(warmup_end);
+  // A stop hook may end the run at any whole second; the remaining
+  // phases are then skipped.
+  const bool stopped = [&] {
+    // --- Phase 1: warmup. Anomaly engines learn the clean baseline. ------
+    if (pipeline_ != nullptr) pipeline_->set_learning(true);
+    flowgen_->start(measure_end);  // arrivals span warmup + measurement
+    if (!advance(warmup_end, /*measuring=*/false, /*poll_at_end=*/true)) {
+      return true;
+    }
 
-  // --- Phase 2: measurement. Counters reset; attacks injected. -----------
-  // All phase-boundary actions run on this thread while every shard
-  // idles at the barrier with its clock aligned to the phase end.
-  if (pipeline_ != nullptr) {
-    pipeline_->set_learning(false);
-    pipeline_->reset_counters();
-    // Evidence recording covers exactly the scored window; warmup
-    // observations never pollute the score ledger.
-    if (score_ledger_ != nullptr) attach_score_ledger();
-  }
-  net_->reset_link_stats();
-  for (const auto& hd : host_delivery_) {
-    hd->latency.reset();
-    hd->hist = util::LogHistogram{};
-  }
-  for (Ipv4 addr : internal_) {
-    net_->find_host(addr)->begin_accounting(sim_.now());
-  }
+    // --- Phase 2: measurement. Counters reset; attacks injected. ---------
+    // All phase-boundary actions run on this thread while every shard
+    // idles at the barrier with its clock aligned to the phase end.
+    if (pipeline_ != nullptr) {
+      pipeline_->set_learning(false);
+      pipeline_->reset_counters();
+      // Evidence recording covers exactly the scored window; warmup
+      // observations never pollute the score ledger.
+      if (score_ledger_ != nullptr) attach_score_ledger();
+    }
+    net_->reset_link_stats();
+    for (const auto& hd : host_delivery_) {
+      hd->latency.reset();
+      hd->hist = util::LogHistogram{};
+    }
+    for (Ipv4 addr : internal_) {
+      net_->find_host(addr)->begin_accounting(sim_.now());
+    }
 
-  // Attack traffic is injected at the barrier; step times are relative
-  // to the measurement start the callback receives.
-  inject(warmup_end);
+    // Attack traffic is injected at the barrier; step times are relative
+    // to the measurement start the callback receives.
+    inject(warmup_end);
 
-  engine_.run_until(measure_end);
-  for (Ipv4 addr : internal_) {
-    net_->find_host(addr)->end_accounting(sim_.now());
-  }
+    const bool measured =
+        advance(measure_end, /*measuring=*/true, /*poll_at_end=*/true);
+    for (Ipv4 addr : internal_) {
+      net_->find_host(addr)->end_accounting(sim_.now());
+    }
+    if (!measured) return true;
 
-  // --- Phase 3: drain. Let queued analysis and notifications complete. ---
-  engine_.run_until(drain_end);
+    // --- Phase 3: drain. Let queued analysis and notifications complete. -
+    return !advance(drain_end, /*measuring=*/true, /*poll_at_end=*/false);
+  }();
 
   // Fold per-shard state back into the ambient world in shard order:
   // telemetry registries into the caller's registry, and (in collect)
@@ -206,7 +214,29 @@ RunResult Testbed::run_phases(const Inject& inject) {
     engine_.registry(s)->reset();
   }
 
-  return collect(warmup_end, measure_end);
+  RunResult r = collect(warmup_end, measure_end);
+  r.stopped_early = stopped;
+  return r;
+}
+
+bool Testbed::advance(SimTime until, bool measuring, bool poll_at_end) {
+  if (!stop_hook_ || pipeline_ == nullptr) {
+    engine_.run_until(until);
+    return true;
+  }
+  // Chunked advance: run_until executes every event at or before its
+  // deadline, so consecutive deadlines replay exactly the events one
+  // run_until(until) would, in the same order.
+  const SimTime second = SimTime::from_sec(1);
+  for (SimTime t = SimTime::from_ns((sim_.now().ns() / second.ns() + 1) *
+                                    second.ns());
+       ; t += second) {
+    const SimTime step_end = std::min(t, until);
+    engine_.run_until(step_end);
+    if (step_end == until && !poll_at_end) return true;
+    if (stop_hook_(*pipeline_, measuring)) return false;
+    if (step_end == until) return true;
+  }
 }
 
 void Testbed::attach_score_ledger() {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -133,6 +134,11 @@ struct RunResult {
   /// attack transactions of the window (ATT&CK ids from AttackTraits,
   /// stages from the kill-chain ground truth or the kind defaults).
   score::DetectionBreakdown breakdown;
+
+  /// The stop hook ended the run before the drain finished
+  /// (Testbed::set_stop_hook); every other figure then describes a
+  /// truncated run.
+  bool stopped_early = false;
 };
 
 class Testbed {
@@ -169,6 +175,18 @@ class Testbed {
   /// Convenience: run with no attacks at all (pure load measurement).
   RunResult run_clean();
 
+  /// Early-stop hook for runs whose caller only needs part of the
+  /// result. Polled on this thread at every whole simulated second of
+  /// the run (every shard idle), except at the drain's end; `measuring`
+  /// is false during the warmup, whose pipeline counters the
+  /// measurement phase resets. Returning true ends the run there and
+  /// sets RunResult::stopped_early. Ignored without a product under
+  /// test. Polling reads state only, so a run the hook never stops is
+  /// identical to a run without one.
+  using StopHook =
+      std::function<bool(const ids::Pipeline& pipeline, bool measuring)>;
+  void set_stop_hook(StopHook hook) { stop_hook_ = std::move(hook); }
+
   /// The hub shard's simulator (the only one at shards == 1).
   netsim::Simulator& sim() noexcept { return sim_; }
   netsim::ShardedSimulator& engine() noexcept { return engine_; }
@@ -197,11 +215,15 @@ class Testbed {
   RunResult run_phases(const Inject& inject);
   RunResult collect(netsim::SimTime measure_start,
                     netsim::SimTime measure_end);
+  /// Advances the engine to `until`, polling the stop hook at every
+  /// whole second on the way; false when the hook stopped the run.
+  bool advance(netsim::SimTime until, bool measuring, bool poll_at_end);
 
   TestbedConfig config_;
   const products::ProductModel* model_;
   double sensitivity_;
   score::ScoreLedger* score_ledger_ = nullptr;
+  StopHook stop_hook_;
   /// Per-shard evidence ledgers for host agents on remote shards (index
   /// = shard; 0 unused), merged into score_ledger_ in shard order before
   /// finalize. Only populated when a ledger is set and shards > 1.

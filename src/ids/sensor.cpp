@@ -204,11 +204,13 @@ void Sensor::fail_now() {
   }
 
   if (config_.recovery == RecoveryPolicy::kHang) {
+    down_until_ = SimTime::max();
     return;  // Low score: down for the remainder of the run.
   }
   const SimTime delay = config_.recovery == RecoveryPolicy::kColdReboot
                             ? config_.reboot_delay
                             : config_.restart_delay;
+  down_until_ = sim_.now() + delay;
   sim_.schedule_in(delay, [this] {
     failed_ = false;
     busy_until_ = sim_.now();

@@ -133,6 +133,9 @@ class Sensor {
   const SensorConfig& config() const noexcept { return config_; }
   const SensorStats& stats() const noexcept { return stats_; }
   bool failed() const noexcept { return failed_; }
+  /// While failed(): when the scheduled recovery brings the sensor back
+  /// (SimTime::max() under RecoveryPolicy::kHang, which never recovers).
+  netsim::SimTime down_until() const noexcept { return down_until_; }
   std::size_t queue_depth() const noexcept { return queued_; }
   /// Current backlog: how far busy_until_ lies beyond now.
   netsim::SimTime backlog() const noexcept;
@@ -157,6 +160,7 @@ class Sensor {
   std::size_t queued_ = 0;
   netsim::SimTime busy_until_;
   bool failed_ = false;
+  netsim::SimTime down_until_;
   telemetry::Counter* tele_offered_;
   telemetry::Counter* tele_dropped_;
   telemetry::Counter* tele_detections_;

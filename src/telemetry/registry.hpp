@@ -209,6 +209,16 @@ inline constexpr std::string_view kMonitorAlertLatency = "monitor.alert";
 inline constexpr std::string_view kMonitorEvictions = "monitor.evictions";
 inline constexpr std::string_view kConsoleBlocks = "console.blocks";
 inline constexpr std::string_view kHarnessProbes = "harness.probes";
+// Load-probe search bookkeeping (harness/measure.hpp): probe results one
+// measure reused from another's simulation, probes the stop hook ended
+// once their verdict was fixed, and speculative probes the searches
+// issued but never used (those merge no other telemetry).
+inline constexpr std::string_view kHarnessProbeMemoHits =
+    "harness.probe_memo_hits";
+inline constexpr std::string_view kHarnessProbeEarlyExits =
+    "harness.probe_early_exits";
+inline constexpr std::string_view kHarnessProbeSpeculativeDiscards =
+    "harness.probe_speculative_discards";
 inline constexpr std::string_view kCampaignCellWall = "campaign.cell_wall";
 }  // namespace names
 

@@ -122,6 +122,36 @@ TEST(SchedulerTest, WorkerCountDoesNotChangeResults) {
   }
 }
 
+TEST(SchedulerTest, LoadMetricCellsAreIdenticalAtOneAndFourJobs) {
+  // Nested parallelism: every cell's load searches share the
+  // process-wide probe executor with the other cells' searches, each
+  // waiting caller helping it, and still store the same rows.
+  CampaignSpec spec = fast_spec();
+  spec.name = "sched-load";
+  spec.products = {products::ProductId::kSentryNid};
+  spec.sensitivities = {0.5};
+  spec.replicates = 2;
+  spec.load_metrics = true;
+  std::map<std::size_t, CellResult> by_jobs[2];
+  const std::size_t jobs[] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    ResultStore store(store_path("load_jobs" + std::to_string(jobs[i])),
+                      spec, /*fresh=*/true);
+    RunOptions options;
+    options.jobs = jobs[i];
+    run_campaign(spec, store, options);
+    by_jobs[i] = store.results();
+  }
+  ASSERT_EQ(by_jobs[0].size(), spec.cell_count());
+  ASSERT_EQ(by_jobs[1].size(), spec.cell_count());
+  for (const auto& [index, a] : by_jobs[0]) {
+    EXPECT_TRUE(a.ok) << a.error;
+    EXPECT_GT(a.zero_loss_pps, 0.0);
+    EXPECT_EQ(serialize_cell(a), serialize_cell(by_jobs[1].at(index)))
+        << "cell " << index;
+  }
+}
+
 TEST(SchedulerTest, ThrowingCellIsIsolatedNotFatal) {
   const CampaignSpec spec = fast_spec();
   ResultStore store(store_path("failing"), spec, /*fresh=*/true);

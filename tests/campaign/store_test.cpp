@@ -224,6 +224,66 @@ TEST_F(StoreTest, ResumeOnMissingFileStartsEmpty) {
   EXPECT_EQ(store.ok_count(), 0u);
 }
 
+/// Rewrites the store with its last `cut` bytes removed, as if the run
+/// writing it was killed in the middle of appending its last row.
+void tear_tail(const std::string& path, std::size_t cut) {
+  const auto size = std::filesystem::file_size(path);
+  ASSERT_GT(size, cut);
+  std::filesystem::resize_file(path, size - cut);
+}
+
+TEST_F(StoreTest, ResumeDropsATornLastRowAndRerunsItsCell) {
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+    store.append(sample_result(1, true));
+  }
+  tear_tail(path_, 20);  // Mid-way through row 1, newline gone.
+  const auto loaded = ResultStore::load(path_, spec);
+  EXPECT_EQ(loaded.size(), 1u);
+  {
+    ResultStore resumed(path_, spec, /*fresh=*/false);
+    EXPECT_TRUE(resumed.has_ok(0));
+    EXPECT_FALSE(resumed.has_ok(1));  // The torn cell runs again.
+    resumed.append(sample_result(1, true));
+  }
+  // The torn bytes were cut off, so the re-run row is intact.
+  const auto healed = ResultStore::load(path_, spec);
+  ASSERT_EQ(healed.size(), 2u);
+  EXPECT_EQ(serialize_cell(healed.at(1)),
+            serialize_cell(sample_result(1, true)));
+}
+
+TEST_F(StoreTest, ResumeDropsAnUnterminatedCompleteLastRow) {
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+  }
+  tear_tail(path_, 1);  // Only the newline is missing.
+  ResultStore resumed(path_, spec, /*fresh=*/false);
+  EXPECT_FALSE(resumed.has_ok(0));
+  resumed.append(sample_result(0, true));
+  EXPECT_EQ(ResultStore::load(path_, spec).size(), 1u);
+}
+
+TEST_F(StoreTest, ResumeStillRejectsCorruptionBeforeTheLastLine) {
+  const CampaignSpec spec = tiny_spec();
+  {
+    ResultStore store(path_, spec, /*fresh=*/true);
+    store.append(sample_result(0, true));
+  }
+  {
+    std::ofstream out(path_, std::ios::app);
+    out << "{\"type\":\"cell\",\"ind\n";  // A torn row mid-file...
+    out << serialize_cell(sample_result(1, true)) << "\n";
+  }
+  EXPECT_THROW(ResultStore(path_, spec, /*fresh=*/false),
+               std::invalid_argument);
+  EXPECT_THROW(ResultStore::load(path_, spec), std::invalid_argument);
+}
+
 TEST_F(StoreTest, LoadRejectsGarbageFile) {
   std::ofstream(path_) << "garbage\n";
   EXPECT_THROW(ResultStore::load(path_, tiny_spec()),

@@ -1,8 +1,10 @@
 // Probe-telemetry accumulation (harness.probes and load-probe stage
 // counters): every load measurement that is handed a Registry must
-// record one harness.probes bump per probe simulation and fold the
-// probes' stage telemetry into the accumulator — including probes that
-// ran on thread-pool workers, which never inherit an ambient registry.
+// record one harness.probes bump per probe simulation it used and fold
+// those probes' stage telemetry into the accumulator — including probes
+// that ran on executor workers, which never inherit an ambient registry.
+// Probes shared between measures count once, plus one
+// harness.probe_memo_hits per further use.
 #include "harness/measure.hpp"
 
 #include <gtest/gtest.h>
@@ -80,6 +82,37 @@ TEST(ProbeTelemetryTest, NullAccumulatorKeepsAmbientBehaviour) {
   (void)measure_lethal_dose_pps(tiny_env(), model, 0.5, /*max_scale=*/4.0,
                                 nullptr);
   EXPECT_EQ(probes(ambient), 2u);
+}
+
+std::uint64_t count_of(const telemetry::Registry& reg,
+                       std::string_view name) {
+  const telemetry::Counter* c = reg.find_counter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+TEST(ProbeTelemetryTest, SharedProbesCountOnceAndAsMemoHits) {
+  const auto& model = products::product(products::ProductId::kSentryNid);
+  telemetry::Registry reg;
+  RunContext ctx(&reg);
+  LoadSearchOptions options;
+  options.zero_loss_max_scale = 8.0;
+  options.overload_scale = 8.0;
+  options.lethal_max_scale = 4.0;
+  const LoadMetrics m =
+      measure_load_metrics(tiny_env(), model, 0.5, options, &ctx);
+  // The stock sensor passes every probe up to 8x: the zero-loss search
+  // probes 1, 2, 4 and 8, which the ladder (1, 2, 8/3, 3.2, 4, 6, 8)
+  // reuses. Distinct simulations: 4 + 3 ladder-only + 2 lethal-dose
+  // rungs (2, 3.2) + 2 latency runs.
+  EXPECT_GT(m.zero_loss_pps, 0.0);
+  EXPECT_EQ(probes(reg), 11u);
+  EXPECT_EQ(count_of(reg, telemetry::names::kHarnessProbeMemoHits), 4u);
+  EXPECT_EQ(count_of(reg, telemetry::names::kHarnessProbeEarlyExits), 0u);
+  // Speculation ran ahead on both hypothetical verdicts; every probe it
+  // issued off the real path is discarded, never merged.
+  EXPECT_GT(
+      count_of(reg, telemetry::names::kHarnessProbeSpeculativeDiscards),
+      0u);
 }
 
 TEST(ProbeTelemetryTest, SkippedLoadMetricsLeaveRegistryEmpty) {

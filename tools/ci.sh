@@ -16,17 +16,20 @@ for preset in "${presets[@]}"; do
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j"${jobs}"
   if [ "${preset}" = "tsan" ]; then
-    # The thread-sanitizer leg targets the sharded engine. Force the
-    # per-shard worker threads ON (a single-core CI machine would
-    # otherwise fall back to the sequential round-robin and TSan would
-    # watch exactly one thread), then run the focused race surface: the
-    # golden-hash determinism suite (pins byte-identical output at
-    # shards 1/2/4, threaded and sequential), the cross-shard engine
-    # tests (mailboxes, lookahead windows, lane-order merges), and the
-    # telemetry registry merge paths.
+    # The thread-sanitizer leg watches every place threads meet: the
+    # sharded engine and the load-probe executor. Force the per-shard
+    # worker threads ON (a single-core CI machine would otherwise fall
+    # back to the sequential round-robin and TSan would watch exactly
+    # one thread), then run the focused race surface: the golden-hash
+    # determinism suite (pins byte-identical output at shards 1/2/4,
+    # threaded and sequential), the cross-shard engine tests (mailboxes,
+    # lookahead windows, lane-order merges), the telemetry registry
+    # merge paths, the probe executor (priorities, withdrawal, helping
+    # callers, the concurrency cap), the concurrent load searches
+    # against their sequential oracle, and the probe telemetry merges.
     IDSEVAL_SHARD_THREADS=1 ctest --preset "${preset}" \
       --output-on-failure --no-tests=error \
-      -R 'DeterminismTest|ShardPlanTest|ShardedSimulatorTest|RegistryTest|ScopedRegistryTest'
+      -R 'DeterminismTest|ShardPlanTest|ShardedSimulatorTest|RegistryTest|ScopedRegistryTest|ProbeExecutorTest|LoadSearchTest|LoadSearchDifferential|TestbedStopHookTest|ProbeTelemetryTest'
   else
     ctest --preset "${preset}" -j"${jobs}"
   fi
@@ -128,6 +131,14 @@ for preset in "${presets[@]}"; do
       --spec examples/campaign_ci.spec --jobs 1 --shards 2 \
       --out "${out_dir}" --trace "${out_dir}/trace.jsonl"
     "build-${preset}/tools/idseval_cli" trace-check "${out_dir}/trace.jsonl"
+    # One traced evaluation with load metrics: the four load searches
+    # run concurrently on the probe executor, and the load_probes event
+    # carries their merged telemetry.
+    echo "==== traced load-metric evaluation (${preset}) ===="
+    "build-${preset}/tools/idseval_cli" evaluate --product SentryNID \
+      --load-metrics --trace "${out_dir}/load_trace.jsonl"
+    "build-${preset}/tools/idseval_cli" trace-check \
+      "${out_dir}/load_trace.jsonl"
     rm -rf "${out_dir}"
     trap - EXIT
   fi
