@@ -216,8 +216,10 @@ TestbedResult testbed_run(double measure_sec) {
       idseval::products::product(idseval::products::ProductId::kGuardSecure);
   idseval::harness::Testbed bed(cfg, &model, 0.5);
   std::uint64_t packets = 0;
-  bed.net().lan_switch().add_mirror(
-      [&packets](const idseval::netsim::Packet&) { ++packets; });
+  bed.net().lan_switch().add_mirror_batch(
+      [&packets](const idseval::netsim::Packet*, std::size_t n) {
+        packets += n;
+      });
   const auto scenario = idseval::attack::Scenario::mixed(
       1, SimTime::zero(), cfg.measure * 0.9,
       idseval::util::hash64("bench") ^ cfg.seed, cfg.external_hosts,

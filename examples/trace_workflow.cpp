@@ -29,9 +29,10 @@ traffic::Trace record_corpus() {
   attack::AttackEmitter emitter(sim, net, ledger, /*seed=*/7);
 
   traffic::Trace trace;
-  net.lan_switch().add_mirror([&](const netsim::Packet& p) {
-    trace.append_absolute(sim.now(), p);
-  });
+  net.lan_switch().add_mirror_batch(
+      netsim::per_packet([&](const netsim::Packet& p) {
+        trace.append_absolute(sim.now(), p);
+      }));
 
   SimTime when = SimTime::from_ms(100);
   for (const auto& traits : attack::all_attack_traits()) {

@@ -26,7 +26,7 @@ Evaluation evaluate_product(const TestbedConfig& env,
   std::optional<RunContext::Scope> scope;
   if (ctx != nullptr) scope.emplace(*ctx);
 
-  Evaluation eval{products::facts_scorecard(model), {}};
+  Evaluation eval{products::facts_scorecard(model), {}, {}};
   core::Scorecard& card = eval.card;
   Measurements& m = eval.measured;
 

@@ -48,11 +48,12 @@ void Testbed::build() {
     host_delivery_.push_back(std::make_unique<HostDelivery>());
     HostDelivery* hd = host_delivery_.back().get();
     netsim::Simulator* host_sim = &net_->sim_of(addr);
-    host->add_receiver([hd, host_sim](const netsim::Packet& p) {
-      const double sec = (host_sim->now() - p.created).sec();
-      hd->latency.add(sec);
-      hd->hist.add(sec);
-    });
+    host->add_receiver_batch(
+        netsim::per_packet([hd, host_sim](const netsim::Packet& p) {
+          const double sec = (host_sim->now() - p.created).sec();
+          hd->latency.add(sec);
+          hd->hist.add(sec);
+        }));
   }
 
   // External population: 198.51.100.x behind a WAN link.
@@ -91,9 +92,10 @@ void Testbed::build() {
   flowgen_->set_rate_scale(config_.rate_scale);
 
   // Stream accounting for the "# simultaneous TCP streams" units.
-  net_->lan_switch().add_mirror([this](const netsim::Packet& p) {
-    if (p.tuple.proto == netsim::Protocol::kTcp) streams_.observe(p);
-  });
+  net_->lan_switch().add_mirror_batch(
+      netsim::per_packet([this](const netsim::Packet& p) {
+        if (p.tuple.proto == netsim::Protocol::kTcp) streams_.observe(p);
+      }));
   // Attack machinery.
   emitter_ = std::make_unique<attack::AttackEmitter>(
       sim_, *net_, ledger_, util::hash64("attacker") ^ config_.seed,

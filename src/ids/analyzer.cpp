@@ -16,17 +16,7 @@ Analyzer::Analyzer(netsim::Simulator& sim, AnalyzerConfig config)
       tele_batch_(
           telemetry::latency_handle(telemetry::names::kAnalyzerBatch)) {}
 
-void Analyzer::submit(const Detection& detection) {
-  ++stats_.detections_in;
-  schedule_analysis(detection);
-}
-
 void Analyzer::submit_batch(const Detection* detections, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    submit(*detections);
-    return;
-  }
   stats_.detections_in += count;
   for (std::size_t i = 0; i < count; ++i) schedule_analysis(detections[i]);
 }

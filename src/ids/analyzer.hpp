@@ -51,11 +51,9 @@ class Analyzer {
 
   void set_on_report(ReportFn fn) { on_report_ = std::move(fn); }
 
-  /// Receives a detection from a sensor (already timestamped by it).
-  void submit(const Detection& detection);
-  /// Receives every detection one sensor completion produced, in engine
-  /// order; the detections_in bump is hoisted to once per batch. A
-  /// single-detection batch takes the exact legacy submit() path.
+  /// Receives every detection one sensor completion produced (already
+  /// timestamped by it), in engine order; a lone detection is a batch of
+  /// one. The detections_in bump is hoisted to once per batch.
   void submit_batch(const Detection* detections, std::size_t count);
 
   const AnalyzerConfig& config() const noexcept { return config_; }

@@ -1,5 +1,7 @@
 #include "ids/host_agent.hpp"
 
+#include <algorithm>
+
 namespace idseval::ids {
 
 using netsim::Packet;
@@ -54,8 +56,8 @@ void HostAgent::set_anomaly_engine(std::unique_ptr<AnomalyEngine> engine) {
 
 void HostAgent::set_on_detection(DetectionFn fn) {
   on_detection_ = std::move(fn);
-  sensor_->set_on_detection([this](const Detection& d) {
-    // The finding leaves the host now but reaches the analyzer tier only
+  sensor_->set_on_detections([this](const Detection* ds, std::size_t n) {
+    // Each finding leaves the host now but reaches the analyzer tier only
     // after the report transit delay; the hand-off always lands on the
     // hub clock (where analyzers, monitor, and the management network
     // live), via the engine mailboxes when the agent's shard is remote.
@@ -64,12 +66,15 @@ void HostAgent::set_on_detection(DetectionFn fn) {
     // constructor to a throwing string copy and spilling the callback
     // off the inline buffer.
     const SimTime arrive = sim_.now() + config_.report_latency;
-    if (engine_ != nullptr && shard_ != 0) {
-      engine_->post(shard_, 0, arrive, lane_,
-                    [this, d = Detection(d)] { deliver_report(d); });
-    } else {
-      net_.sim().schedule_at_lane(
-          arrive, lane_, [this, d = Detection(d)] { deliver_report(d); });
+    for (std::size_t i = 0; i < n; ++i) {
+      const Detection& d = ds[i];
+      if (engine_ != nullptr && shard_ != 0) {
+        engine_->post(shard_, 0, arrive, lane_,
+                      [this, d = Detection(d)] { deliver_report(d); });
+      } else {
+        net_.sim().schedule_at_lane(
+            arrive, lane_, [this, d = Detection(d)] { deliver_report(d); });
+      }
     }
   });
 }
@@ -104,27 +109,17 @@ void HostAgent::attach() {
   });
 }
 
-void HostAgent::observe(const Packet& packet) {
-  if (packet.tuple.dst_port == kMgmtPort) return;  // never self-analyze
-  // Logging happens for every delivered packet regardless of analysis.
-  const double log_ops = logging_ops_per_packet(config_.logging);
-  if (log_ops > 0.0) host_.charge_ops(log_ops, /*ids_work=*/true);
-  sensor_->ingest(packet);
-}
-
 void HostAgent::observe_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    observe(*packets);
+  const auto is_mgmt = [](const Packet& p) {
+    return p.tuple.dst_port == kMgmtPort;  // never self-analyze
+  };
+  if (std::any_of(packets, packets + count, is_mgmt)) {
+    for (std::size_t i = 0; i < count; ++i) {
+      if (!is_mgmt(packets[i])) observe_batch(packets + i, 1);
+    }
     return;
   }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (packets[i].tuple.dst_port == kMgmtPort) {
-      // Mgmt traffic splits the batch; take the exact per-packet path.
-      for (std::size_t j = 0; j < count; ++j) observe(packets[j]);
-      return;
-    }
-  }
+  // Logging happens for every delivered packet regardless of analysis.
   const double log_ops = logging_ops_per_packet(config_.logging);
   if (log_ops > 0.0) {
     host_.charge_ops(log_ops * static_cast<double>(count),

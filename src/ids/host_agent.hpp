@@ -107,10 +107,10 @@ class HostAgent {
   /// Runs on the hub clock at detection time + report_latency: emits the
   /// optional report packet and forwards to the analyzer callback.
   void deliver_report(const Detection& d);
-  void observe(const netsim::Packet& packet);
   /// Same-tick delivery batch off the host downlink: logging ops are
   /// charged once for the whole batch and the inner sensor gets one
-  /// batched ingest. Falls back per packet around mgmt-port traffic.
+  /// batched ingest. A batch carrying mgmt-port traffic is observed one
+  /// packet at a time, skipping the mgmt packets.
   void observe_batch(const netsim::Packet* packets, std::size_t count);
 
   netsim::Simulator& sim_;  ///< The monitored host's shard clock.

@@ -105,17 +105,6 @@ std::size_t LoadBalancer::route(const Packet& packet) {
   return 0;
 }
 
-void LoadBalancer::ingest(const Packet& packet) {
-  ++stats_.offered;
-  telemetry::bump(tele_offered_);
-  if (queued_ >= config_.queue_capacity) {
-    ++stats_.dropped;
-    telemetry::bump(tele_dropped_);
-    return;
-  }
-  enqueue_service(packet);
-}
-
 void LoadBalancer::enqueue_service(const Packet& packet) {
   ++queued_;
   const SimTime start = std::max(sim_.now(), busy_until_);
@@ -133,11 +122,6 @@ void LoadBalancer::enqueue_service(const Packet& packet) {
 }
 
 void LoadBalancer::ingest_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    ingest(*packets);
-    return;
-  }
   stats_.offered += count;
   telemetry::bump(tele_offered_, count);
   std::uint64_t dropped = 0;

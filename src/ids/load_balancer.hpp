@@ -68,10 +68,9 @@ class LoadBalancer {
     sensors_ = std::move(sensors);
   }
 
-  void ingest(const netsim::Packet& packet);
-  /// Ingests a same-tick batch in order; offered/dropped stats and
-  /// telemetry bumps are hoisted to once per batch. A single-packet
-  /// batch takes the exact legacy ingest() path.
+  /// Ingests a same-tick batch in order (a single packet is a batch of
+  /// one); offered/dropped stats and telemetry bumps are hoisted to once
+  /// per batch.
   void ingest_batch(const netsim::Packet* packets, std::size_t count);
 
   /// Service time for one packet — also the latency an in-line deployment

@@ -150,17 +150,13 @@ Pipeline::Pipeline(netsim::Simulator& sim, netsim::Network& net,
     for (auto& s : sensors_) raw.push_back(s.get());
     lb_->set_sensors(std::move(raw));
     lb_->set_forward([this](std::size_t idx, const Packet& p) {
-      dispatch_to_sensor(idx, p);
+      sensors_[idx]->ingest_batch(&p, 1);
     });
   }
 }
 
 Analyzer& Pipeline::analyzer_for(std::size_t source_index) {
   return *analyzers_[source_index % analyzers_.size()];
-}
-
-void Pipeline::dispatch_to_sensor(std::size_t index, const Packet& packet) {
-  sensors_[index]->ingest(packet);
 }
 
 std::size_t Pipeline::sensor_index_for(const Packet& packet) const {
@@ -170,33 +166,7 @@ std::size_t Pipeline::sensor_index_for(const Packet& packet) const {
              : packet.tuple.dst_ip.value() % sensors_.size();
 }
 
-void Pipeline::feed(const Packet& packet) {
-  if (packet.tuple.dst_port == kMgmtPort) return;  // own reports
-  if (!config_.tap_filter.empty() &&
-      !config_.tap_filter.selects(packet)) {
-    ++packets_filtered_;
-    telemetry::bump(tele_filtered_);
-    return;
-  }
-  ++packets_tapped_;
-  telemetry::bump(tele_tapped_);
-  if (monitor_evicts_ && (packet.flags.fin || packet.flags.rst)) {
-    monitor_->flow_ended(packet.flow_id);
-  }
-  if (sensors_.empty()) return;
-  if (lb_) {
-    lb_->ingest(packet);
-    return;
-  }
-  dispatch_to_sensor(sensor_index_for(packet), packet);
-}
-
 void Pipeline::feed_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    feed(*packets);
-    return;
-  }
   const bool filtering = !config_.tap_filter.empty();
   std::uint64_t tapped = 0;
   std::uint64_t filtered = 0;
@@ -209,14 +179,6 @@ void Pipeline::feed_batch(const Packet* packets, std::size_t count) {
     }
     if (filtering && !config_.tap_filter.selects(p)) {
       ++filtered;
-      ++i;
-      continue;
-    }
-    if (sensors_.empty()) {
-      ++tapped;
-      if (monitor_evicts_ && (p.flags.fin || p.flags.rst)) {
-        monitor_->flow_ended(p.flow_id);
-      }
       ++i;
       continue;
     }
@@ -263,7 +225,7 @@ void Pipeline::attach(const std::vector<netsim::Ipv4>& agent_hosts) {
       // the Induced Traffic Latency metric's mechanism.
       sw.set_inline_hook([this](const Packet& p,
                                 std::function<void(const Packet&)> fwd) {
-        feed(p);
+        feed_batch(&p, 1);
         const netsim::SimTime delay =
             lb_->config().inline_latency + lb_->service_time();
         sim_.schedule_in(delay, [p = p, fwd] { fwd(p); });
@@ -321,7 +283,7 @@ void Pipeline::attach(const std::vector<netsim::Ipv4>& agent_hosts) {
                                 net_.alloc_lane());
       const std::size_t source = config_.sensor_count + i;
       agent->set_on_detection([this, source](const Detection& d) {
-        analyzer_for(source).submit(d);
+        analyzer_for(source).submit_batch(&d, 1);
       });
       agent->attach();
       agents_.push_back(std::move(agent));

@@ -153,13 +153,12 @@ class Pipeline {
   void reset_counters();
 
  private:
-  void feed(const netsim::Packet& packet);
-  /// Batched tap: splits a same-tick mirror batch into contiguous
+  /// The tap, wired only when network sensors exist: splits a same-tick
+  /// mirror batch (an in-line packet is a batch of one) into contiguous
   /// single-sink runs and ingests each run as one sub-batch; tapped /
   /// filtered bumps are hoisted to once per batch.
   void feed_batch(const netsim::Packet* packets, std::size_t count);
   std::size_t sensor_index_for(const netsim::Packet& packet) const;
-  void dispatch_to_sensor(std::size_t index, const netsim::Packet& packet);
   Analyzer& analyzer_for(std::size_t source_index);
 
   netsim::Simulator& sim_;

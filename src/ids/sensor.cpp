@@ -81,34 +81,6 @@ void Sensor::reset_stats() noexcept {
   telemetry::reset(scoped_service_);
 }
 
-void Sensor::ingest(const Packet& packet) {
-  ++stats_.offered;
-  telemetry::bump(tele_offered_);
-  telemetry::bump(scoped_offered_);
-  if (failed_) {
-    ++stats_.dropped_failed;
-    telemetry::bump(tele_dropped_);
-    telemetry::bump(scoped_dropped_);
-    return;
-  }
-  if (queued_ >= config_.queue_capacity) {
-    ++stats_.dropped_queue;
-    telemetry::bump(tele_dropped_);
-    telemetry::bump(scoped_dropped_);
-    // Persistent tail-dropping with a saturated backlog is the overload
-    // condition that can kill the sensor outright ("network lethal dose").
-    if (backlog() > config_.overload_tolerance) fail_now();
-    return;
-  }
-
-  double ops = config_.base_ops_per_packet;
-  if (signature_) ops += signature_->scan_cost_ops(packet);
-  if (anomaly_) ops += anomaly_->scan_cost_ops(packet);
-  if (host_ != nullptr) host_->charge_ops(ops, /*ids_work=*/true);
-
-  enqueue_service(packet, ops);
-}
-
 void Sensor::enqueue_service(const Packet& packet, double ops) {
   const SimTime service =
       SimTime::from_sec(ops / std::max(1.0, config_.ops_per_sec));
@@ -126,11 +98,6 @@ void Sensor::enqueue_service(const Packet& packet, double ops) {
 }
 
 void Sensor::ingest_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    ingest(*packets);
-    return;
-  }
   stats_.offered += count;
   telemetry::bump(tele_offered_, count);
   telemetry::bump(scoped_offered_, count);
@@ -141,7 +108,7 @@ void Sensor::ingest_batch(const Packet* packets, std::size_t count) {
     const Packet& packet = packets[i];
     if (failed_) {
       // A mid-batch failure (capacity trip below) drops the remainder of
-      // the batch exactly as the per-packet path would.
+      // the batch.
       ++stats_.dropped_failed;
       ++dropped;
       continue;
@@ -149,6 +116,9 @@ void Sensor::ingest_batch(const Packet* packets, std::size_t count) {
     if (queued_ >= config_.queue_capacity) {
       ++stats_.dropped_queue;
       ++dropped;
+      // Persistent tail-dropping with a saturated backlog is the overload
+      // condition that can kill the sensor outright ("network lethal
+      // dose").
       if (backlog() > config_.overload_tolerance) fail_now();
       continue;
     }
@@ -188,8 +158,6 @@ void Sensor::complete(const Packet& packet) {
   telemetry::bump(scoped_detections_, detections.size());
   if (on_detections_ && !detections.empty()) {
     on_detections_(detections.data(), detections.size());
-  } else if (on_detection_) {
-    for (const Detection& d : detections) on_detection_(d);
   }
 }
 

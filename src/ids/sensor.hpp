@@ -85,11 +85,9 @@ struct SensorStats {
 
 class Sensor {
  public:
-  using DetectionFn = std::function<void(const Detection&)>;
-  /// Batch detection sink: every detection one packet produced, in engine
-  /// order. Preferred over DetectionFn when both are set.
-  using DetectionBatchFn =
-      std::function<void(const Detection*, std::size_t)>;
+  /// Detection sink: every detection one packet produced, in engine
+  /// order (never called with an empty batch).
+  using DetectionFn = std::function<void(const Detection*, std::size_t)>;
   /// Invoked when the sensor fails / recovers (Error Reporting metric:
   /// only kAppRestart reports through this channel in real time).
   using FailureFn = std::function<void(const std::string& sensor,
@@ -108,17 +106,12 @@ class Sensor {
   /// discussion). Ops are charged to the host as IDS work.
   void bind_host(netsim::Host* host) noexcept { host_ = host; }
 
-  void set_on_detection(DetectionFn fn) { on_detection_ = std::move(fn); }
-  void set_on_detections(DetectionBatchFn fn) {
-    on_detections_ = std::move(fn);
-  }
+  void set_on_detections(DetectionFn fn) { on_detections_ = std::move(fn); }
   void set_on_failure(FailureFn fn) { on_failure_ = std::move(fn); }
 
-  /// Ingests one packet at simulation time `now`.
-  void ingest(const netsim::Packet& packet);
-  /// Ingests a same-tick batch in order; stats/telemetry bumps and host
-  /// op charges are hoisted to once per batch. A single-packet batch
-  /// takes the exact legacy ingest() path.
+  /// Ingests a same-tick batch at simulation time `now`, in order (a
+  /// single packet is a batch of one); stats/telemetry bumps and host op
+  /// charges are hoisted to once per batch.
   void ingest_batch(const netsim::Packet* packets, std::size_t count);
 
   void set_sensitivity(double s) noexcept;
@@ -152,8 +145,7 @@ class Sensor {
   std::unique_ptr<AnomalyEngine> anomaly_;
   netsim::Host* host_ = nullptr;
 
-  DetectionFn on_detection_;
-  DetectionBatchFn on_detections_;
+  DetectionFn on_detections_;
   FailureFn on_failure_;
 
   SensorStats stats_;

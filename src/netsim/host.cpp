@@ -9,31 +9,9 @@ Host::Host(std::string name, Ipv4 address, double cpu_ops_per_sec)
       address_(address),
       cpu_ops_per_sec_(cpu_ops_per_sec) {}
 
-void Host::deliver(const Packet& packet) {
-  ++received_;
-  for (const auto& r : receivers_) {
-    if (r.batch) {
-      r.batch(&packet, 1);
-    } else {
-      r.each(packet);
-    }
-  }
-}
-
 void Host::deliver_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    deliver(*packets);
-    return;
-  }
   received_ += count;
-  for (const auto& r : receivers_) {
-    if (r.batch) {
-      r.batch(packets, count);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) r.each(packets[i]);
-    }
-  }
+  for (const ReceiveFn& r : receivers_) r(packets, count);
 }
 
 void Host::charge_ops(double ops, bool ids_work) noexcept {

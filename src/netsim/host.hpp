@@ -17,9 +17,9 @@ namespace idseval::netsim {
 
 class Host {
  public:
-  using ReceiveFn = std::function<void(const Packet&)>;
-  /// Batch observer: a same-tick arrival run off the downlink, FIFO order.
-  using ReceiveBatchFn = std::function<void(const Packet*, std::size_t)>;
+  /// Delivery observer: a same-tick arrival run off the downlink, FIFO
+  /// order (netsim::per_packet adapts a per-packet observer).
+  using ReceiveFn = std::function<void(const Packet*, std::size_t)>;
 
   Host(std::string name, Ipv4 address, double cpu_ops_per_sec = 1e9);
 
@@ -27,16 +27,12 @@ class Host {
   Ipv4 address() const noexcept { return address_; }
 
   /// Registers a delivery observer; all observers see every packet in
-  /// registration order (production stack, host IDS agent, ...). Batch and
-  /// per-packet observers share one registration order.
-  void add_receiver(ReceiveFn fn) {
-    receivers_.push_back(ReceiverEntry{std::move(fn), nullptr});
+  /// registration order (production stack, host IDS agent, ...).
+  void add_receiver_batch(ReceiveFn fn) {
+    receivers_.push_back(std::move(fn));
   }
-  void add_receiver_batch(ReceiveBatchFn fn) {
-    receivers_.push_back(ReceiverEntry{nullptr, std::move(fn)});
-  }
-  void deliver(const Packet& packet);
-  /// Batched delivery; a single-packet batch takes the legacy path.
+  /// Delivers a same-tick batch (a single packet is a batch of one) to
+  /// every observer in turn.
   void deliver_batch(const Packet* packets, std::size_t count);
 
   /// --- CPU accounting -------------------------------------------------
@@ -54,17 +50,11 @@ class Host {
   std::uint64_t packets_received() const noexcept { return received_; }
 
  private:
-  /// Exactly one of the two callbacks is set per entry.
-  struct ReceiverEntry {
-    ReceiveFn each;
-    ReceiveBatchFn batch;
-  };
-
   std::string name_;
   Ipv4 address_;
   double cpu_ops_per_sec_;
 
-  std::vector<ReceiverEntry> receivers_;
+  std::vector<ReceiveFn> receivers_;
   std::uint64_t received_ = 0;
 
   double ids_ops_ = 0.0;

@@ -106,11 +106,7 @@ void Link::deliver_remote_batch(std::vector<Packet>& batch) {
   std::uint64_t bytes = 0;
   for (const Packet& p : batch) bytes += p.wire_bytes();
   stats_.delivered_bytes += bytes;
-  if (deliver_batch_) {
-    deliver_batch_(batch.data(), batch.size());
-  } else if (deliver_) {
-    for (const Packet& p : batch) deliver_(p);
-  }
+  if (deliver_) deliver_(batch.data(), batch.size());
 }
 
 void Link::deliver_group() {
@@ -118,20 +114,8 @@ void Link::deliver_group() {
   const DeliveryGroup group = groups_.front();
   groups_.pop_front();
   stats_.delivered_packets += group.count;
-  if (group.count == 1) {
-    // Move out before delivering: the deliver callback may re-enter
-    // send() on this link and grow in_flight_.
-    Packet p = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    stats_.delivered_bytes += p.wire_bytes();
-    if (deliver_batch_) {
-      deliver_batch_(&p, 1);
-    } else if (deliver_) {
-      deliver_(p);
-    }
-    return;
-  }
-
+  // Move out before delivering: the deliver callback may re-enter send()
+  // on this link and grow in_flight_.
   batch_scratch_.clear();
   std::uint64_t bytes = 0;
   for (std::uint32_t i = 0; i < group.count; ++i) {
@@ -140,11 +124,7 @@ void Link::deliver_group() {
     in_flight_.pop_front();
   }
   stats_.delivered_bytes += bytes;
-  if (deliver_batch_) {
-    deliver_batch_(batch_scratch_.data(), batch_scratch_.size());
-  } else if (deliver_) {
-    for (const Packet& p : batch_scratch_) deliver_(p);
-  }
+  if (deliver_) deliver_(batch_scratch_.data(), batch_scratch_.size());
   batch_scratch_.clear();  // drop payload references promptly
 }
 

@@ -39,15 +39,14 @@ struct LinkStats {
   }
 };
 
-/// Unidirectional link. `deliver` is invoked in simulation time when the
-/// packet's last bit arrives at the far end.
+/// Unidirectional link. The deliver callback is invoked in simulation
+/// time when the packets' last bits arrive at the far end.
 class Link {
  public:
-  using DeliverFn = std::function<void(const Packet&)>;
-  /// Batch delivery: a contiguous run of packets that all arrived on the
-  /// same tick, in FIFO order. Preferred over DeliverFn when both are
-  /// set; single-packet arrivals come through with count == 1.
-  using DeliverBatchFn = std::function<void(const Packet*, std::size_t)>;
+  /// Delivery: a contiguous run of packets that all arrived on the same
+  /// tick, in FIFO order; a lone arrival is a batch of one
+  /// (netsim::per_packet adapts a per-packet callback).
+  using DeliverFn = std::function<void(const Packet*, std::size_t)>;
 
   Link(Simulator& sim, std::string name, double bandwidth_bps,
        SimTime latency, std::size_t queue_capacity_packets);
@@ -55,10 +54,7 @@ class Link {
   /// Offers a packet to the link; returns false when the queue tail-drops.
   bool send(const Packet& packet);
 
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
-  void set_deliver_batch(DeliverBatchFn fn) {
-    deliver_batch_ = std::move(fn);
-  }
+  void set_deliver_batch(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// When disabled, every packet gets its own delivery group and event
   /// even at identical arrival ticks — the single-packet reference path
@@ -136,7 +132,6 @@ class Link {
   std::size_t queue_capacity_;
 
   DeliverFn deliver_;
-  DeliverBatchFn deliver_batch_;
   RemoteFlushFn remote_flush_;
   std::function<void()> on_first_pending_;
   LinkStats stats_;

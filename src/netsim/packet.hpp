@@ -4,9 +4,11 @@
 // payload-inspecting IDSes behave differently from header-only ones.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "netsim/address.hpp"
 #include "netsim/sim_time.hpp"
@@ -63,5 +65,17 @@ Packet make_packet(std::uint64_t id, std::uint64_t flow_id, SimTime created,
                    const FiveTuple& tuple,
                    std::shared_ptr<const std::string> payload,
                    TcpFlags flags = {});
+
+/// Adapts a per-packet callback `fn(const Packet&)` to the batch shape
+/// `(const Packet*, std::size_t)` every packet hand-off takes (link
+/// delivery, switch mirrors, host receivers); the wrapper visits the
+/// batch in order.
+template <class Fn>
+auto per_packet(Fn fn) {
+  return [fn = std::move(fn)](const Packet* packets,
+                              std::size_t count) mutable {
+    for (std::size_t i = 0; i < count; ++i) fn(packets[i]);
+  };
+}
 
 }  // namespace idseval::netsim

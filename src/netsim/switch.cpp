@@ -18,43 +18,27 @@ void Switch::attach(Ipv4 addr, Link* egress) {
   routes_[addr.value()] = egress;
 }
 
-void Switch::receive(const Packet& packet) {
-  if (!blocked_.empty() && blocked_.contains(packet.tuple.src_ip.value())) {
-    ++stats_.blocked;
-    telemetry::bump(tele_blocked_);
+void Switch::receive_batch(const Packet* packets, std::size_t count) {
+  if (blocked_.empty()) {
+    admit(packets, count);
     return;
   }
-  // Mirrors observe traffic as it traverses the switch, before any
-  // in-line device: a SPAN copy is taken at the ingress ASIC.
-  for (const auto& mirror : mirrors_) {
-    ++stats_.mirrored;
-    telemetry::bump(tele_mirrored_);
-    if (mirror.batch) {
-      mirror.batch(&packet, 1);
+  // Block-list filtering can split the batch: packets are filtered one at
+  // a time, so blocked/mirrored ordering is that of per-packet arrival.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (blocked_.contains(packets[i].tuple.src_ip.value())) {
+      ++stats_.blocked;
+      telemetry::bump(tele_blocked_);
     } else {
-      mirror.each(packet);
+      admit(packets + i, 1);
     }
-  }
-  if (inline_hook_) {
-    inline_hook_(packet, [this](const Packet& p) { forward(p); });
-  } else {
-    forward(packet);
   }
 }
 
-void Switch::receive_batch(const Packet* packets, std::size_t count) {
-  if (count == 0) return;
-  if (count == 1) {
-    receive(*packets);
-    return;
-  }
-  if (!blocked_.empty()) {
-    // Block-list filtering can split the batch; fall back to the exact
-    // per-packet path so blocked/mirrored ordering stays identical.
-    for (std::size_t i = 0; i < count; ++i) receive(packets[i]);
-    return;
-  }
-  // Hoisted: one stats/telemetry update for the whole fan-out.
+void Switch::admit(const Packet* packets, std::size_t count) {
+  // Mirrors observe traffic as it traverses the switch, before any
+  // in-line device: a SPAN copy is taken at the ingress ASIC. Hoisted:
+  // one stats/telemetry update for the whole fan-out.
   const std::uint64_t mirror_copies =
       static_cast<std::uint64_t>(mirrors_.size()) *
       static_cast<std::uint64_t>(count);
@@ -62,31 +46,15 @@ void Switch::receive_batch(const Packet* packets, std::size_t count) {
     stats_.mirrored += mirror_copies;
     telemetry::bump(tele_mirrored_, mirror_copies);
   }
-  for (const auto& mirror : mirrors_) {
-    if (mirror.batch) {
-      mirror.batch(packets, count);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) mirror.each(packets[i]);
-    }
-  }
+  for (const MirrorFn& mirror : mirrors_) mirror(packets, count);
   if (inline_hook_) {
     for (std::size_t i = 0; i < count; ++i) {
-      inline_hook_(packets[i], [this](const Packet& p) { forward(p); });
+      inline_hook_(packets[i],
+                   [this](const Packet& p) { forward_batch(&p, 1); });
     }
   } else {
     forward_batch(packets, count);
   }
-}
-
-void Switch::forward(const Packet& packet) {
-  const auto it = routes_.find(packet.tuple.dst_ip.value());
-  if (it == routes_.end() || it->second == nullptr) {
-    ++stats_.no_route;
-    return;
-  }
-  ++stats_.forwarded;
-  telemetry::bump(tele_forwarded_);
-  it->second->send(packet);
 }
 
 void Switch::forward_batch(const Packet* packets, std::size_t count) {
@@ -114,14 +82,6 @@ void Switch::forward_batch(const Packet* packets, std::size_t count) {
   }
   stats_.forwarded += forwarded;
   telemetry::bump(tele_forwarded_, forwarded);
-}
-
-void Switch::add_mirror(MirrorFn fn) {
-  mirrors_.push_back(MirrorEntry{std::move(fn), nullptr});
-}
-
-void Switch::add_mirror_batch(MirrorBatchFn fn) {
-  mirrors_.push_back(MirrorEntry{nullptr, std::move(fn)});
 }
 
 void Switch::block_source(Ipv4 addr) { blocked_.insert(addr.value()); }

@@ -28,9 +28,9 @@ struct SwitchStats {
 
 class Switch {
  public:
-  using MirrorFn = std::function<void(const Packet&)>;
-  /// Batch SPAN mirror: observes a same-tick arrival batch in one call.
-  using MirrorBatchFn = std::function<void(const Packet*, std::size_t)>;
+  /// SPAN mirror: observes a same-tick arrival batch in one call
+  /// (netsim::per_packet adapts a per-packet mirror).
+  using MirrorFn = std::function<void(const Packet*, std::size_t)>;
   /// In-line hook: receives the packet and a continuation that resumes
   /// normal forwarding; the hook may delay, drop, or forward immediately.
   using InlineFn =
@@ -41,17 +41,15 @@ class Switch {
   /// Registers the egress link toward `addr`.
   void attach(Ipv4 addr, Link* egress);
 
-  /// Ingress entry point: called when a packet arrives at the switch.
-  void receive(const Packet& packet);
-  /// Batched ingress: a same-tick arrival run from one uplink, in FIFO
-  /// order. Mirror fan-out and stats/telemetry updates happen once per
-  /// batch; a single-packet batch takes the exact legacy receive() path.
+  /// Ingress entry point: a same-tick arrival run from one uplink, in
+  /// FIFO order (a single packet is a batch of one). Mirror fan-out and
+  /// stats/telemetry updates happen once per batch; while any source is
+  /// blocked, packets are admitted one at a time.
   void receive_batch(const Packet* packets, std::size_t count);
 
-  /// SPAN: every forwarded packet is also copied to each mirror. Batch
-  /// and per-packet mirrors share one registration order.
-  void add_mirror(MirrorFn fn);
-  void add_mirror_batch(MirrorBatchFn fn);
+  /// SPAN: every admitted packet is also copied to each mirror, in
+  /// registration order.
+  void add_mirror_batch(MirrorFn fn) { mirrors_.push_back(std::move(fn)); }
   /// Installs / clears the in-line device hook.
   void set_inline_hook(InlineFn fn) { inline_hook_ = std::move(fn); }
 
@@ -65,21 +63,15 @@ class Switch {
   const std::string& name() const noexcept { return name_; }
 
  private:
-  void forward(const Packet& packet);
+  /// Mirrors, then the in-line hook or forwarding, for unblocked packets.
+  void admit(const Packet* packets, std::size_t count);
   void forward_batch(const Packet* packets, std::size_t count);
-
-  /// Exactly one of the two callbacks is set per entry; the vector keeps
-  /// the combined registration order mirrors fire in.
-  struct MirrorEntry {
-    MirrorFn each;
-    MirrorBatchFn batch;
-  };
 
   Simulator& sim_;
   std::string name_;
   std::unordered_map<std::uint32_t, Link*> routes_;
   std::unordered_set<std::uint32_t> blocked_;
-  std::vector<MirrorEntry> mirrors_;
+  std::vector<MirrorFn> mirrors_;
   InlineFn inline_hook_;
   SwitchStats stats_;
   // Whole-run telemetry (the switch is network infrastructure, never

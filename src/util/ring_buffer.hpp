@@ -7,19 +7,17 @@
 
 #include <atomic>
 #include <cstddef>
-#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
 namespace idseval::util {
 
-#if defined(__cpp_lib_hardware_interference_size)
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
+/// Cache-line size the producer and consumer indices are padded to. A
+/// fixed constant rather than std::hardware_destructive_interference_size,
+/// whose value may differ between compilers and tuning flags (GCC warns
+/// that using it in a header makes the layout ABI-unstable).
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 /// Bounded SPSC queue. `try_push` fails (returns false) when full — the
 /// caller decides whether that is back-pressure or a drop. Capacity is

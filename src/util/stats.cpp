@@ -5,6 +5,12 @@
 
 namespace idseval::util {
 
+namespace {
+// The compiler's 128-bit integer (GCC/Clang); __extension__ marks the
+// non-ISO type so -Wpedantic builds accept it.
+__extension__ using uint128 = unsigned __int128;
+}  // namespace
+
 void RunningStats::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;
@@ -97,13 +103,13 @@ std::uint64_t Reservoir::bounded(std::uint64_t range) noexcept {
   // 2^64 mod range of them) are rejected. A plain `x % range` keeps that
   // fringe and systematically favours low slots.
   std::uint64_t x = next_u64();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * range;
+  uint128 m = static_cast<uint128>(x) * range;
   auto lo = static_cast<std::uint64_t>(m);
   if (lo < range) {
     const std::uint64_t threshold = (0 - range) % range;
     while (lo < threshold) {
       x = next_u64();
-      m = static_cast<unsigned __int128>(x) * range;
+      m = static_cast<uint128>(x) * range;
       lo = static_cast<std::uint64_t>(m);
     }
   }

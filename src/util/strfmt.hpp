@@ -13,7 +13,7 @@ namespace idseval::util {
 template <typename... Args>
 std::string cat(Args&&... args) {
   std::ostringstream out;
-  (out << ... << std::forward<Args>(args));
+  ((out << std::forward<Args>(args)), ...);
   return out.str();
 }
 

@@ -22,8 +22,8 @@ class EmitterTest : public ::testing::Test {
     net_.add_host("victim", victim_);
     net_.add_host("other", Ipv4(10, 0, 0, 3));
     net_.add_external_host("attacker", attacker_);
-    net_.lan_switch().add_mirror(
-        [this](const Packet& p) { seen_.push_back(p); });
+    net_.lan_switch().add_mirror_batch(netsim::per_packet(
+        [this](const Packet& p) { seen_.push_back(p); }));
   }
 
   std::vector<Packet> launch(AttackKind kind) {
@@ -172,8 +172,8 @@ TEST_F(EmitterTest, DeterministicAcrossRuns) {
   traffic::TransactionLedger ledger2;
   AttackEmitter emitter2(sim2, net2, ledger2, 77);
   std::vector<Packet> seen2;
-  net2.lan_switch().add_mirror(
-      [&](const Packet& p) { seen2.push_back(p); });
+  net2.lan_switch().add_mirror_batch(netsim::per_packet(
+      [&](const Packet& p) { seen2.push_back(p); }));
 
   emitter_.launch(AttackKind::kPortScan, attacker_, victim_,
                   SimTime::from_ms(5));

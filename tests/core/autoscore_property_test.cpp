@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "core/autoscore.hpp"
 #include "util/rng.hpp"
@@ -22,6 +23,12 @@ struct ConverterCase {
   double hi;   ///< Sweep range end.
   bool log_sweep;
 };
+
+// gtest_discover_tests puts the printed parameter into each ctest name.
+// Printed as raw bytes it held the addresses of `name` and `convert`,
+// which change from one test discovery to the next; the name alone is
+// fixed.
+void PrintTo(const ConverterCase& c, std::ostream* os) { *os << c.name; }
 
 class AutoscoreProperty : public ::testing::TestWithParam<ConverterCase> {};
 

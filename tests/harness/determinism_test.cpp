@@ -147,8 +147,8 @@ std::uint64_t golden_run_hash(GoldenOptions opt = {}) {
   if (opt.threaded >= 0) bed.engine().set_threaded(opt.threaded == 1);
   bed.net().set_delivery_coalescing(opt.coalesce_delivery);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto scenario = attack::Scenario::mixed(
       2, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
@@ -217,8 +217,8 @@ TEST(DeterminismTest, SingletonKillChainReproducesTheGoldenHash) {
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto scenario = attack::Scenario::mixed(
       2, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
@@ -238,8 +238,8 @@ std::uint64_t chain_run_hash(std::size_t shards) {
   const auto& model = products::product(products::ProductId::kGuardSecure);
   Testbed bed(cfg, &model, 0.5);
   StreamHash sh;
-  bed.net().lan_switch().add_mirror(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); });
+  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
+      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
   const auto chain = attack::KillChain::preset(
       "intrusion", util::hash64("chain") ^ cfg.seed, cfg.measure * 0.08,
       cfg.external_hosts, cfg.internal_hosts);

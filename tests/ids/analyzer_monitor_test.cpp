@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ids/analyzer.hpp"
 #include "ids/monitor.hpp"
 
@@ -23,35 +25,55 @@ Detection detection(std::uint64_t flow, const std::string& rule,
   return d;
 }
 
+/// Hands `ds` to the analyzer as one batch of N, or as N batches of one;
+/// the tests that submit several detections assert the same outcome
+/// either way.
+void submit_all(Analyzer& analyzer, const std::vector<Detection>& ds,
+                bool one_batch = true) {
+  if (one_batch) {
+    analyzer.submit_batch(ds.data(), ds.size());
+    return;
+  }
+  for (const Detection& d : ds) analyzer.submit_batch(&d, 1);
+}
+
 TEST(AnalyzerTest, EmitsReportPerFlow) {
-  netsim::Simulator sim;
-  Analyzer analyzer(sim, AnalyzerConfig{});
-  std::vector<ThreatReport> reports;
-  analyzer.set_on_report([&](const ThreatReport& r) {
-    reports.push_back(r);
-  });
-  analyzer.submit(detection(1, "rule-a"));
-  analyzer.submit(detection(2, "rule-b"));
-  sim.run_until();
-  EXPECT_EQ(reports.size(), 2u);
-  EXPECT_EQ(analyzer.stats().reports_out, 2u);
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    Analyzer analyzer(sim, AnalyzerConfig{});
+    std::vector<ThreatReport> reports;
+    analyzer.set_on_report([&](const ThreatReport& r) {
+      reports.push_back(r);
+    });
+    submit_all(analyzer, {detection(1, "rule-a"), detection(2, "rule-b")},
+               one_batch);
+    sim.run_until();
+    EXPECT_EQ(reports.size(), 2u);
+    EXPECT_EQ(analyzer.stats().reports_out, 2u);
+    EXPECT_EQ(analyzer.stats().detections_in, 2u);
+  }
 }
 
 TEST(AnalyzerTest, MergesSameFlowWithinWindow) {
-  netsim::Simulator sim;
-  AnalyzerConfig cfg;
-  cfg.correlation_window = SimTime::from_sec(10);
-  Analyzer analyzer(sim, cfg);
-  std::vector<ThreatReport> reports;
-  analyzer.set_on_report([&](const ThreatReport& r) {
-    reports.push_back(r);
-  });
-  analyzer.submit(detection(1, "rule-a"));
-  analyzer.submit(detection(1, "rule-b"));
-  analyzer.submit(detection(1, "rule-c"));
-  sim.run_until();
-  EXPECT_EQ(reports.size(), 1u);
-  EXPECT_EQ(analyzer.stats().merged, 2u);
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    AnalyzerConfig cfg;
+    cfg.correlation_window = SimTime::from_sec(10);
+    Analyzer analyzer(sim, cfg);
+    std::vector<ThreatReport> reports;
+    analyzer.set_on_report([&](const ThreatReport& r) {
+      reports.push_back(r);
+    });
+    submit_all(analyzer,
+               {detection(1, "rule-a"), detection(1, "rule-b"),
+                detection(1, "rule-c")},
+               one_batch);
+    sim.run_until();
+    EXPECT_EQ(reports.size(), 1u);
+    EXPECT_EQ(analyzer.stats().merged, 2u);
+  }
 }
 
 TEST(AnalyzerTest, SameFlowAfterWindowReportsAgain) {
@@ -61,32 +83,36 @@ TEST(AnalyzerTest, SameFlowAfterWindowReportsAgain) {
   Analyzer analyzer(sim, cfg);
   int reports = 0;
   analyzer.set_on_report([&](const ThreatReport&) { ++reports; });
-  analyzer.submit(detection(1, "rule-a"));
+  submit_all(analyzer, {detection(1, "rule-a")});
   sim.run_until();
   sim.schedule_at(SimTime::from_sec(5),
-                  [&] { analyzer.submit(detection(1, "rule-a")); });
+                  [&] { submit_all(analyzer, {detection(1, "rule-a")}); });
   sim.run_until();
   EXPECT_EQ(reports, 2);
 }
 
 TEST(AnalyzerTest, OffenderEscalation) {
-  netsim::Simulator sim;
-  AnalyzerConfig cfg;
-  cfg.escalation_rule_count = 3;
-  Analyzer analyzer(sim, cfg);
-  std::vector<ThreatReport> reports;
-  analyzer.set_on_report([&](const ThreatReport& r) {
-    reports.push_back(r);
-  });
-  // Three distinct rules from one source in the window: escalate.
-  analyzer.submit(detection(1, "rule-a", 3));
-  analyzer.submit(detection(2, "rule-b", 3));
-  analyzer.submit(detection(3, "rule-c", 3));
-  sim.run_until();
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_EQ(reports[0].severity, 3);
-  EXPECT_EQ(reports[2].severity, 4);  // escalated
-  EXPECT_GE(analyzer.stats().escalations, 1u);
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    AnalyzerConfig cfg;
+    cfg.escalation_rule_count = 3;
+    Analyzer analyzer(sim, cfg);
+    std::vector<ThreatReport> reports;
+    analyzer.set_on_report([&](const ThreatReport& r) {
+      reports.push_back(r);
+    });
+    // Three distinct rules from one source in the window: escalate.
+    submit_all(analyzer,
+               {detection(1, "rule-a", 3), detection(2, "rule-b", 3),
+                detection(3, "rule-c", 3)},
+               one_batch);
+    sim.run_until();
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_EQ(reports[0].severity, 3);
+    EXPECT_EQ(reports[2].severity, 4);  // escalated
+    EXPECT_GE(analyzer.stats().escalations, 1u);
+  }
 }
 
 TEST(AnalyzerTest, TransferDelayDelaysReports) {
@@ -98,22 +124,27 @@ TEST(AnalyzerTest, TransferDelayDelaysReports) {
   analyzer.set_on_report([&](const ThreatReport& r) {
     reported_at = r.when;
   });
-  analyzer.submit(detection(1, "rule-a"));
+  submit_all(analyzer, {detection(1, "rule-a")});
   sim.run_until();
   EXPECT_GE(reported_at, SimTime::from_ms(50));
 }
 
 TEST(AnalyzerTest, StorageGrowsPerDetection) {
-  netsim::Simulator sim;
-  AnalyzerConfig cfg;
-  cfg.bytes_per_detection = 512;
-  Analyzer analyzer(sim, cfg);
-  analyzer.set_on_report([](const ThreatReport&) {});
-  for (int i = 0; i < 10; ++i) {
-    analyzer.submit(detection(static_cast<std::uint64_t>(i), "r"));
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    AnalyzerConfig cfg;
+    cfg.bytes_per_detection = 512;
+    Analyzer analyzer(sim, cfg);
+    analyzer.set_on_report([](const ThreatReport&) {});
+    std::vector<Detection> ds;
+    for (int i = 0; i < 10; ++i) {
+      ds.push_back(detection(static_cast<std::uint64_t>(i), "r"));
+    }
+    submit_all(analyzer, ds, one_batch);
+    sim.run_until();
+    EXPECT_EQ(analyzer.stats().bytes_stored, 5120u);
   }
-  sim.run_until();
-  EXPECT_EQ(analyzer.stats().bytes_stored, 5120u);
 }
 
 TEST(MonitorTest, RaisesAlertAfterNotificationDelay) {

@@ -64,32 +64,50 @@ struct LeastLoadedRig {
   }
 };
 
-TEST(FlowStateEvictionTest, LeastLoadedPinsReleasedOnFin) {
-  LeastLoadedRig rig;
-  constexpr std::uint64_t kFlows = 10;
-  for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow));
-    rig.lb.ingest(flow_packet(rig.sim, flow));
+/// Hands `packets` to the balancer as one batch of N, or as N batches of
+/// one.
+void ingest_all(LoadBalancer& lb, const std::vector<Packet>& packets,
+                bool one_batch) {
+  if (one_batch) {
+    lb.ingest_batch(packets.data(), packets.size());
+    return;
   }
-  rig.sim.run_until();
-  EXPECT_EQ(rig.lb.pins_live(), kFlows);
-  EXPECT_EQ(rig.lb.stats().pin_evictions, 0u);
+  for (const Packet& p : packets) lb.ingest_batch(&p, 1);
+}
 
-  TcpFlags fin;
-  fin.fin = true;
-  for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow, fin));
+TEST(FlowStateEvictionTest, LeastLoadedPinsReleasedOnFin) {
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    LeastLoadedRig rig;
+    constexpr std::uint64_t kFlows = 10;
+    std::vector<Packet> opens;
+    for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
+      opens.push_back(flow_packet(rig.sim, flow));
+      opens.push_back(flow_packet(rig.sim, flow));
+    }
+    ingest_all(rig.lb, opens, one_batch);
+    rig.sim.run_until();
+    EXPECT_EQ(rig.lb.pins_live(), kFlows);
+    EXPECT_EQ(rig.lb.stats().pin_evictions, 0u);
+
+    TcpFlags fin;
+    fin.fin = true;
+    std::vector<Packet> fins;
+    for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
+      fins.push_back(flow_packet(rig.sim, flow, fin));
+    }
+    ingest_all(rig.lb, fins, one_batch);
+    rig.sim.run_until();
+    EXPECT_EQ(rig.lb.pins_live(), 0u);
+    EXPECT_EQ(rig.lb.stats().pin_evictions, kFlows);
   }
-  rig.sim.run_until();
-  EXPECT_EQ(rig.lb.pins_live(), 0u);
-  EXPECT_EQ(rig.lb.stats().pin_evictions, kFlows);
 }
 
 TEST(FlowStateEvictionTest, SinglePacketRstFlowIsNeverPinned) {
   LeastLoadedRig rig;
   TcpFlags rst;
   rst.rst = true;
-  rig.lb.ingest(flow_packet(rig.sim, 1, rst));
+  ingest_all(rig.lb, {flow_packet(rig.sim, 1, rst)}, true);
   rig.sim.run_until();
   EXPECT_EQ(rig.lb.pins_live(), 0u);
   // Nothing was pinned, so nothing was evicted either.
@@ -104,8 +122,8 @@ TEST(FlowStateEvictionTest, PinTableStaysFlatUnderFlowChurn) {
   constexpr std::uint64_t kFlows = 2000;
   std::size_t peak_pins = 0;
   for (std::uint64_t flow = 1; flow <= kFlows; ++flow) {
-    rig.lb.ingest(flow_packet(rig.sim, flow));
-    rig.lb.ingest(flow_packet(rig.sim, flow, fin));
+    ingest_all(rig.lb, {flow_packet(rig.sim, flow)}, true);
+    ingest_all(rig.lb, {flow_packet(rig.sim, flow, fin)}, true);
     peak_pins = std::max(peak_pins, rig.lb.pins_live());
   }
   rig.sim.run_until();

@@ -102,9 +102,9 @@ TEST_F(HostAgentTest, ReportsOverNetworkConsumeBandwidth) {
   agent.attach();
 
   int mgmt_packets = 0;
-  net_.lan_switch().add_mirror([&](const Packet& p) {
+  net_.lan_switch().add_mirror_batch(netsim::per_packet([&](const Packet& p) {
     if (p.tuple.dst_port == kMgmtPort) ++mgmt_packets;
-  });
+  }));
 
   send_to_host(util::cat("GET ", attack::patterns::kDirTraversal,
                          " HTTP/1.0\r\n"));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "ids/sensor.hpp"
 #include "util/rng.hpp"
@@ -28,6 +29,18 @@ Packet flow_packet(netsim::Simulator& sim, std::uint64_t flow,
                              "payload");
 }
 
+/// Hands `packets` to a stage (balancer or sensor) as one batch of N, or
+/// as N batches of one.
+template <class Stage>
+void ingest_all(Stage& stage, const std::vector<Packet>& packets,
+                bool one_batch = true) {
+  if (one_batch) {
+    stage.ingest_batch(packets.data(), packets.size());
+    return;
+  }
+  for (const Packet& p : packets) stage.ingest_batch(&p, 1);
+}
+
 LoadBalancerConfig cfg(LbStrategy strategy) {
   LoadBalancerConfig c;
   c.strategy = strategy;
@@ -37,16 +50,21 @@ LoadBalancerConfig cfg(LbStrategy strategy) {
 }
 
 TEST(LoadBalancerTest, NoneRoutesEverythingToSensorZero) {
-  netsim::Simulator sim;
-  LoadBalancer lb(sim, cfg(LbStrategy::kNone), 4);
-  std::map<std::size_t, int> got;
-  lb.set_forward([&](std::size_t idx, const Packet&) { ++got[idx]; });
-  for (int i = 0; i < 20; ++i) {
-    lb.ingest(flow_packet(sim, static_cast<std::uint64_t>(i)));
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    LoadBalancer lb(sim, cfg(LbStrategy::kNone), 4);
+    std::map<std::size_t, int> got;
+    lb.set_forward([&](std::size_t idx, const Packet&) { ++got[idx]; });
+    std::vector<Packet> packets;
+    for (int i = 0; i < 20; ++i) {
+      packets.push_back(flow_packet(sim, static_cast<std::uint64_t>(i)));
+    }
+    ingest_all(lb, packets, one_batch);
+    sim.run_until();
+    EXPECT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], 20);
   }
-  sim.run_until();
-  EXPECT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 20);
 }
 
 TEST(LoadBalancerTest, FlowHashIsSessionConsistent) {
@@ -64,7 +82,7 @@ TEST(LoadBalancerTest, FlowHashIsSessionConsistent) {
       Packet p = flow_packet(sim, static_cast<std::uint64_t>(flow),
                              Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2),
                              sport);
-      lb.ingest(p);
+      ingest_all(lb, {p});
     }
   }
   sim.run_until();
@@ -84,8 +102,8 @@ TEST(LoadBalancerTest, FlowHashHandlesBothDirections) {
   Packet rev = fwd;
   std::swap(rev.tuple.src_ip, rev.tuple.dst_ip);
   std::swap(rev.tuple.src_port, rev.tuple.dst_port);
-  lb.ingest(fwd);
-  lb.ingest(rev);
+  ingest_all(lb, {fwd});
+  ingest_all(lb, {rev});
   sim.run_until();
   EXPECT_EQ(sensors.size(), 1u);  // canonical tuple: same sensor
 }
@@ -100,7 +118,7 @@ TEST(LoadBalancerTest, FlowHashSpreadsFlows) {
         sim, static_cast<std::uint64_t>(i), Ipv4(198, 51, 100, 1),
         Ipv4(10, 0, 0, static_cast<std::uint8_t>(1 + rng.index(8))),
         static_cast<std::uint16_t>(rng.uniform_u64(1024, 65535)));
-    lb.ingest(p);
+    ingest_all(lb, {p});
   }
   sim.run_until();
   EXPECT_LT(lb.stats().imbalance(), 1.2);
@@ -117,7 +135,7 @@ TEST(LoadBalancerTest, StaticByHostFollowsDestination) {
     Packet p = flow_packet(
         sim, static_cast<std::uint64_t>(i), Ipv4(198, 51, 100, 1),
         Ipv4(10, 0, 0, static_cast<std::uint8_t>(1 + i % 8)));
-    lb.ingest(p);
+    ingest_all(lb, {p});
   }
   sim.run_until();
   for (const auto& [dst, sensors] : dst_sensors) {
@@ -133,13 +151,13 @@ TEST(LoadBalancerTest, LeastLoadedPrefersShortQueue) {
   slow.ops_per_sec = 1e9;
   Sensor busy(sim, slow);
   Sensor idle(sim, slow);
-  for (int i = 0; i < 10; ++i) busy.ingest(flow_packet(sim, 1000));
+  for (int i = 0; i < 10; ++i) ingest_all(busy, {flow_packet(sim, 1000)});
 
   LoadBalancer lb(sim, cfg(LbStrategy::kLeastLoaded), 2);
   lb.set_sensors({&busy, &idle});
   std::map<std::size_t, int> got;
   lb.set_forward([&](std::size_t idx, const Packet&) { ++got[idx]; });
-  lb.ingest(flow_packet(sim, 1));  // new flow -> idle sensor (index 1)
+  ingest_all(lb, {flow_packet(sim, 1)});  // new flow -> idle sensor (index 1)
   sim.run_until();
   EXPECT_EQ(got[1], 1);
   EXPECT_EQ(got.count(0), 0u);
@@ -157,8 +175,8 @@ TEST(LoadBalancerTest, LeastLoadedPinsFlows) {
     flow_sensors[p.flow_id].insert(idx);
   });
   for (int pkt = 0; pkt < 20; ++pkt) {
-    lb.ingest(flow_packet(sim, 1));
-    lb.ingest(flow_packet(sim, 2));
+    ingest_all(lb, {flow_packet(sim, 1)});
+    ingest_all(lb, {flow_packet(sim, 2)});
   }
   sim.run_until();
   EXPECT_EQ(flow_sensors[1].size(), 1u);
@@ -166,18 +184,24 @@ TEST(LoadBalancerTest, LeastLoadedPinsFlows) {
 }
 
 TEST(LoadBalancerTest, QueueOverflowDrops) {
-  netsim::Simulator sim;
-  LoadBalancerConfig c = cfg(LbStrategy::kFlowHash);
-  c.queue_capacity = 8;
-  c.ops_per_packet = 1e7;  // 10ms each — queue fills instantly
-  LoadBalancer lb(sim, c, 2);
-  lb.set_forward([](std::size_t, const Packet&) {});
-  for (int i = 0; i < 20; ++i) {
-    lb.ingest(flow_packet(sim, static_cast<std::uint64_t>(i)));
+  for (const bool one_batch : {true, false}) {
+    SCOPED_TRACE(one_batch ? "one batch" : "batches of one");
+    netsim::Simulator sim;
+    LoadBalancerConfig c = cfg(LbStrategy::kFlowHash);
+    c.queue_capacity = 8;
+    c.ops_per_packet = 1e7;  // 10ms each — queue fills instantly
+    LoadBalancer lb(sim, c, 2);
+    lb.set_forward([](std::size_t, const Packet&) {});
+    std::vector<Packet> packets;
+    for (int i = 0; i < 20; ++i) {
+      packets.push_back(flow_packet(sim, static_cast<std::uint64_t>(i)));
+    }
+    ingest_all(lb, packets, one_batch);
+    EXPECT_EQ(lb.stats().offered, 20u);
+    EXPECT_EQ(lb.stats().dropped, 12u);
+    sim.run_until();
+    EXPECT_EQ(lb.stats().forwarded, 8u);
   }
-  EXPECT_EQ(lb.stats().dropped, 12u);
-  sim.run_until();
-  EXPECT_EQ(lb.stats().forwarded, 8u);
 }
 
 TEST(LoadBalancerTest, ImbalanceComputation) {

@@ -26,6 +26,11 @@ Packet plain_packet(netsim::Simulator& sim) {
                              sim.now(), t, "data");
 }
 
+/// A lone packet is a batch of one.
+void ingest_one(Sensor& sensor, const Packet& p) {
+  sensor.ingest_batch(&p, 1);
+}
+
 SensorConfig scoped_config(std::string scope) {
   SensorConfig cfg;
   cfg.name = "s";
@@ -52,7 +57,7 @@ TEST(PerSensorTelemetryTest, ScopedCountersPartitionTheAggregate) {
   std::vector<Packet> batch;
   for (int i = 0; i < 5; ++i) batch.push_back(plain_packet(sim));
   s0.ingest_batch(batch.data(), batch.size());
-  for (int i = 0; i < 3; ++i) s1.ingest(plain_packet(sim));
+  for (int i = 0; i < 3; ++i) ingest_one(s1, plain_packet(sim));
   sim.run_until();
 
   EXPECT_EQ(counter_value(reg, "sensor.0.offered"), 5u);
@@ -70,7 +75,7 @@ TEST(PerSensorTelemetryTest, NoScopeMeansNoScopedInstruments) {
   telemetry::ScopedRegistry scope(&reg);
   netsim::Simulator sim;
   Sensor sensor(sim, scoped_config(""));
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   sim.run_until();
   EXPECT_EQ(counter_value(reg, telemetry::names::kSensorOffered), 1u);
   EXPECT_EQ(reg.find_counter("sensor.0.offered"), nullptr);
@@ -82,7 +87,7 @@ TEST(PerSensorTelemetryTest, ResetStatsClearsScopedInstruments) {
   telemetry::ScopedRegistry scope(&reg);
   netsim::Simulator sim;
   Sensor sensor(sim, scoped_config("sensor.0"));
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   sim.run_until();
   ASSERT_EQ(counter_value(reg, "sensor.0.offered"), 1u);
   sensor.reset_stats();

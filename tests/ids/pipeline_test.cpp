@@ -211,7 +211,10 @@ TEST_F(PipelineTest, InlineLbDelaysProductionTraffic) {
     auto* dst = net.add_host("h1", Ipv4(10, 0, 0, 1));
     net.add_external_host("ext", Ipv4(198, 51, 100, 1));
     SimTime* slot = &passive_arrival;
-    dst->add_receiver([&sim, slot](const Packet&) { *slot = sim.now(); });
+    dst->add_receiver_batch(
+        netsim::per_packet([&sim, slot](const Packet&) {
+          *slot = sim.now();
+        }));
     PipelineConfig c = base_config();
     c.use_load_balancer = true;
     c.lb.in_line = false;
@@ -230,7 +233,10 @@ TEST_F(PipelineTest, InlineLbDelaysProductionTraffic) {
     auto* dst = net.add_host("h1", Ipv4(10, 0, 0, 1));
     net.add_external_host("ext", Ipv4(198, 51, 100, 1));
     SimTime* slot = &inline_arrival;
-    dst->add_receiver([&sim, slot](const Packet&) { *slot = sim.now(); });
+    dst->add_receiver_batch(
+        netsim::per_packet([&sim, slot](const Packet&) {
+          *slot = sim.now();
+        }));
     PipelineConfig c = base_config();
     c.use_load_balancer = true;
     c.lb.in_line = true;

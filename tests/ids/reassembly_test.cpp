@@ -114,7 +114,8 @@ TEST(ReassemblyTest, EvasiveEmitterSplitsEveryPattern) {
   traffic::TransactionLedger ledger;
   attack::AttackEmitter emitter(sim, net, ledger, 7);
   std::vector<Packet> seen;
-  net.lan_switch().add_mirror([&](const Packet& p) { seen.push_back(p); });
+  net.lan_switch().add_mirror_batch(
+      netsim::per_packet([&](const Packet& p) { seen.push_back(p); }));
   emitter.launch(attack::AttackKind::kEvasiveExploit,
                  Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2),
                  SimTime::from_ms(1));

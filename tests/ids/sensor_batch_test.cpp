@@ -1,5 +1,5 @@
-// Batch-boundary tests for vectorized sensor ingest: ingest_batch must
-// land on exactly the stats the per-packet path produces — including a
+// Batch-boundary tests for vectorized sensor ingest: one batch of N must
+// land on exactly the stats N batches of one produce — including a
 // failure tripped mid-batch dropping the remainder — with host op
 // charges accumulated to one call per batch.
 #include "ids/sensor.hpp"
@@ -39,6 +39,10 @@ SensorConfig fast_config() {
   return cfg;
 }
 
+void ingest_one_by_one(Sensor& sensor, const std::vector<Packet>& packets) {
+  for (const Packet& p : packets) sensor.ingest_batch(&p, 1);
+}
+
 void expect_same_stats(const SensorStats& a, const SensorStats& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.processed, b.processed);
@@ -56,7 +60,7 @@ TEST(SensorBatchTest, BatchIngestMatchesPerPacketStats) {
   std::vector<Packet> batch;
   for (int i = 0; i < 10; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  ingest_one_by_one(ref_sensor, batch);
   sim_a.run_until();
   sim_b.run_until();
   expect_same_stats(batch_sensor.stats(), ref_sensor.stats());
@@ -73,7 +77,7 @@ TEST(SensorBatchTest, QueueOverflowWithinBatchMatchesPerPacket) {
   std::vector<Packet> batch;
   for (int i = 0; i < 20; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  ingest_one_by_one(ref_sensor, batch);
   EXPECT_EQ(batch_sensor.stats().dropped_queue, 12u);
   sim_a.run_until();
   sim_b.run_until();
@@ -93,7 +97,7 @@ TEST(SensorBatchTest, FailureMidBatchDropsRemainderLikePerPacket) {
   std::vector<Packet> batch;
   for (int i = 0; i < 50; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  ingest_one_by_one(ref_sensor, batch);
   // The backlog trips the failure partway through; everything after the
   // trip must be accounted as dropped_failed on both paths.
   EXPECT_TRUE(batch_sensor.failed());
@@ -143,7 +147,7 @@ TEST(SensorBatchTest, HostChargedOncePerBatchWithSameTotal) {
   std::vector<Packet> batch;
   for (int i = 0; i < 16; ++i) batch.push_back(plain_packet(sim_a));
   batch_sensor.ingest_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) ref_sensor.ingest(p);
+  ingest_one_by_one(ref_sensor, batch);
   sim_a.run_until();
   sim_b.run_until();
   host_a.end_accounting(sim_a.now());
@@ -152,16 +156,6 @@ TEST(SensorBatchTest, HostChargedOncePerBatchWithSameTotal) {
   // sum of the per-packet charges.
   EXPECT_DOUBLE_EQ(host_a.ids_cpu_fraction(), host_b.ids_cpu_fraction());
   EXPECT_GT(host_a.ids_cpu_fraction(), 0.0);
-}
-
-TEST(SensorBatchTest, SingletonBatchTakesLegacyIngestPath) {
-  netsim::Simulator sim;
-  Sensor sensor(sim, fast_config());
-  const Packet p = plain_packet(sim);
-  sensor.ingest_batch(&p, 1);
-  sim.run_until();
-  EXPECT_EQ(sensor.stats().offered, 1u);
-  EXPECT_EQ(sensor.stats().processed, 1u);
 }
 
 }  // namespace

@@ -23,6 +23,11 @@ Packet plain_packet(netsim::Simulator& sim, std::string payload = "data") {
                              sim.now(), t, std::move(payload));
 }
 
+/// A lone packet is a batch of one.
+void ingest_one(Sensor& sensor, const Packet& p) {
+  sensor.ingest_batch(&p, 1);
+}
+
 SensorConfig fast_config() {
   SensorConfig cfg;
   cfg.name = "s";
@@ -35,7 +40,7 @@ SensorConfig fast_config() {
 TEST(SensorTest, ProcessesPacketsAfterServiceTime) {
   netsim::Simulator sim;
   Sensor sensor(sim, fast_config());
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   EXPECT_EQ(sensor.stats().processed, 0u);  // not yet: service pending
   sim.run_until();
   EXPECT_EQ(sensor.stats().processed, 1u);
@@ -49,8 +54,10 @@ TEST(SensorTest, SignatureDetectionForwarded) {
   sensor.set_signature_engine(std::make_unique<SignatureEngine>(
       standard_rule_set(), SignatureEngineOptions{0.5, true}));
   std::vector<Detection> got;
-  sensor.set_on_detection([&](const Detection& d) { got.push_back(d); });
-  sensor.ingest(plain_packet(
+  sensor.set_on_detections([&](const Detection* d, std::size_t n) {
+    got.insert(got.end(), d, d + n);
+  });
+  ingest_one(sensor, plain_packet(
       sim, util::cat("GET ", attack::patterns::kDirTraversal,
                      " HTTP/1.0\r\n")));
   sim.run_until();
@@ -67,8 +74,10 @@ TEST(SensorTest, DetectionTimestampedAtCompletion) {
   sensor.set_signature_engine(std::make_unique<SignatureEngine>(
       standard_rule_set(), SignatureEngineOptions{0.5, true}));
   std::vector<Detection> got;
-  sensor.set_on_detection([&](const Detection& d) { got.push_back(d); });
-  sensor.ingest(plain_packet(
+  sensor.set_on_detections([&](const Detection* d, std::size_t n) {
+    got.insert(got.end(), d, d + n);
+  });
+  ingest_one(sensor, plain_packet(
       sim, util::cat("GET ", attack::patterns::kDirTraversal,
                      " HTTP/1.0\r\n")));
   sim.run_until();
@@ -82,7 +91,7 @@ TEST(SensorTest, QueueOverflowDrops) {
   cfg.queue_capacity = 8;
   cfg.base_ops_per_packet = 1e7;  // 10 ms each: queue saturates instantly
   Sensor sensor(sim, cfg);
-  for (int i = 0; i < 20; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 20; ++i) ingest_one(sensor, plain_packet(sim));
   EXPECT_EQ(sensor.stats().dropped_queue, 12u);
   sim.run_until();
   EXPECT_EQ(sensor.stats().processed, 8u);
@@ -94,7 +103,7 @@ TEST(SensorTest, BacklogReflectsQueuedWork) {
   SensorConfig cfg = fast_config();
   cfg.base_ops_per_packet = 1e6;  // 1 ms
   Sensor sensor(sim, cfg);
-  for (int i = 0; i < 5; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 5; ++i) ingest_one(sensor, plain_packet(sim));
   EXPECT_EQ(sensor.backlog(), SimTime::from_ms(5));
 }
 
@@ -106,13 +115,13 @@ TEST(SensorTest, OverloadTripsFailureAndHangStaysDown) {
   cfg.overload_tolerance = SimTime::from_ms(200);
   cfg.recovery = RecoveryPolicy::kHang;
   Sensor sensor(sim, cfg);
-  for (int i = 0; i < 50; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 50; ++i) ingest_one(sensor, plain_packet(sim));
   EXPECT_TRUE(sensor.failed());
   EXPECT_EQ(sensor.stats().failures, 1u);
   sim.run_until(SimTime::from_sec(100));
   EXPECT_TRUE(sensor.failed());  // hang: never recovers
   // Everything offered while failed is lost.
-  sensor.ingest(plain_packet(sim));
+  ingest_one(sensor, plain_packet(sim));
   EXPECT_GT(sensor.stats().dropped_failed, 0u);
 }
 
@@ -129,7 +138,7 @@ TEST(SensorTest, AppRestartRecoversQuicklyAndReports) {
   sensor.set_on_failure([&](const std::string&, SimTime when, bool failed) {
     events.emplace_back(when, failed);
   });
-  for (int i = 0; i < 50; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 50; ++i) ingest_one(sensor, plain_packet(sim));
   EXPECT_TRUE(sensor.failed());
   sim.run_until(SimTime::from_sec(10));
   EXPECT_FALSE(sensor.failed());
@@ -152,7 +161,7 @@ TEST(SensorTest, ColdRebootRecoversSlowlyWithoutRealtimeReport) {
   sensor.set_on_failure([&](const std::string&, SimTime, bool failed) {
     if (failed) ++failure_reports;
   });
-  for (int i = 0; i < 50; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 50; ++i) ingest_one(sensor, plain_packet(sim));
   EXPECT_TRUE(sensor.failed());
   EXPECT_EQ(failure_reports, 0);  // average anchor: no real-time report
   sim.run_until(SimTime::from_sec(20));
@@ -169,7 +178,7 @@ TEST(SensorTest, HostChargingAccountsIdsWork) {
   Sensor sensor(sim, cfg);
   sensor.bind_host(&host);
   host.begin_accounting(sim.now());
-  for (int i = 0; i < 100; ++i) sensor.ingest(plain_packet(sim));
+  for (int i = 0; i < 100; ++i) ingest_one(sensor, plain_packet(sim));
   sim.run_until();
   host.end_accounting(sim.now());
   // 100 packets x 5e6 ops on 1e9 ops/s over the elapsed window.

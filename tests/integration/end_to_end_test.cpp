@@ -219,9 +219,10 @@ TEST(EndToEndTest, TraceReplayReproducesDetections) {
     net.add_external_host("attacker", netsim::Ipv4(198, 51, 100, 1));
     traffic::TransactionLedger ledger;
     attack::AttackEmitter emitter(sim, net, ledger, 3);
-    net.lan_switch().add_mirror([&](const netsim::Packet& p) {
-      trace.append_absolute(sim.now(), p);
-    });
+    net.lan_switch().add_mirror_batch(
+        netsim::per_packet([&](const netsim::Packet& p) {
+          trace.append_absolute(sim.now(), p);
+        }));
     emitter.launch(attack::AttackKind::kWebExploit,
                    netsim::Ipv4(198, 51, 100, 1), netsim::Ipv4(10, 0, 0, 2),
                    SimTime::from_ms(5));

@@ -98,29 +98,13 @@ TEST(LinkBatchTest, CoalescingOffMatchesBatchedStatsAndOrder) {
   for (const std::size_t n : off_sizes) EXPECT_EQ(n, 1u);
 }
 
-TEST(LinkBatchTest, SingletonGroupPrefersBatchCallback) {
-  Simulator sim;
-  Link link(sim, "l", 1e9, SimTime::zero(), 8);
-  int batch_calls = 0;
-  int single_calls = 0;
-  link.set_deliver([&](const Packet&) { ++single_calls; });
-  link.set_deliver_batch([&](const Packet*, std::size_t n) {
-    ++batch_calls;
-    EXPECT_EQ(n, 1u);
-  });
-  link.send(test_packet(sim, 100));
-  sim.run_until();
-  EXPECT_EQ(batch_calls, 1);
-  EXPECT_EQ(single_calls, 0);
-}
-
 TEST(LinkBatchTest, LazySlotReleaseFreesQueueBeforeDelivery) {
   Simulator sim;
   // 1000B at 8 Mb/s = 1 ms serialization; 10 ms propagation. Slots free
   // at tx-done (1 ms, 2 ms) even though delivery happens at 11/12 ms.
   Link link(sim, "l", 8e6, SimTime::from_ms(10), /*queue=*/2);
   int delivered = 0;
-  link.set_deliver([&](const Packet&) { ++delivered; });
+  link.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   link.send(test_packet(sim, 960));
   link.send(test_packet(sim, 960));
   EXPECT_FALSE(link.send(test_packet(sim, 960)));  // full

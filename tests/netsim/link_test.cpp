@@ -26,7 +26,8 @@ TEST(LinkTest, DeliversAfterSerializationPlusLatency) {
   Simulator sim;
   Link link(sim, "l", 8e6, SimTime::from_ms(2), 16);
   SimTime delivered_at;
-  link.set_deliver([&](const Packet&) { delivered_at = sim.now(); });
+  link.set_deliver_batch(
+      [&](const Packet*, std::size_t) { delivered_at = sim.now(); });
   const Packet p = test_packet(sim, 960);  // +40B header = 1000B => 1ms
   link.send(p);
   sim.run_until();
@@ -37,9 +38,9 @@ TEST(LinkTest, BackToBackPacketsQueueBehindTransmitter) {
   Simulator sim;
   Link link(sim, "l", 8e6, SimTime::zero(), 16);
   std::vector<double> deliveries;
-  link.set_deliver([&](const Packet&) {
+  link.set_deliver_batch(per_packet([&](const Packet&) {
     deliveries.push_back(sim.now().ms());
-  });
+  }));
   for (int i = 0; i < 3; ++i) link.send(test_packet(sim, 960));
   sim.run_until();
   ASSERT_EQ(deliveries.size(), 3u);
@@ -52,7 +53,7 @@ TEST(LinkTest, TailDropsWhenQueueFull) {
   Simulator sim;
   Link link(sim, "l", 8e6, SimTime::zero(), /*queue=*/2);
   int delivered = 0;
-  link.set_deliver([&](const Packet&) { ++delivered; });
+  link.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
     if (link.send(test_packet(sim, 960))) ++accepted;
@@ -69,7 +70,7 @@ TEST(LinkTest, QueueDrainsOverTime) {
   Simulator sim;
   Link link(sim, "l", 8e6, SimTime::zero(), 2);
   int delivered = 0;
-  link.set_deliver([&](const Packet&) { ++delivered; });
+  link.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   link.send(test_packet(sim, 960));
   link.send(test_packet(sim, 960));
   EXPECT_FALSE(link.send(test_packet(sim, 960)));  // full
@@ -83,7 +84,7 @@ TEST(LinkTest, QueueDrainsOverTime) {
 TEST(LinkTest, StatsCountBytes) {
   Simulator sim;
   Link link(sim, "l", 1e9, SimTime::zero(), 16);
-  link.set_deliver([](const Packet&) {});
+  link.set_deliver_batch([](const Packet*, std::size_t) {});
   const Packet p = test_packet(sim, 100);
   link.send(p);
   sim.run_until();
@@ -95,7 +96,8 @@ TEST(LinkTest, ZeroBandwidthMeansNoSerializationDelay) {
   Simulator sim;
   Link link(sim, "l", 0.0, SimTime::from_us(10), 4);
   SimTime delivered_at;
-  link.set_deliver([&](const Packet&) { delivered_at = sim.now(); });
+  link.set_deliver_batch(
+      [&](const Packet*, std::size_t) { delivered_at = sim.now(); });
   link.send(test_packet(sim, 1000));
   sim.run_until();
   EXPECT_EQ(delivered_at, SimTime::from_us(10));
@@ -104,7 +106,7 @@ TEST(LinkTest, ZeroBandwidthMeansNoSerializationDelay) {
 TEST(LinkTest, ResetStatsClearsCounters) {
   Simulator sim;
   Link link(sim, "l", 1e9, SimTime::zero(), 4);
-  link.set_deliver([](const Packet&) {});
+  link.set_deliver_batch([](const Packet*, std::size_t) {});
   link.send(test_packet(sim, 10));
   sim.run_until();
   link.reset_stats();

@@ -44,7 +44,7 @@ TEST_F(NetworkTest, FindHost) {
 
 TEST_F(NetworkTest, DeliversEndToEnd) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.send(packet(a_->address(), b_->address()));
   sim_.run_until();
   EXPECT_EQ(received, 1);
@@ -54,7 +54,8 @@ TEST_F(NetworkTest, DeliversEndToEnd) {
 
 TEST_F(NetworkTest, ExternalToInternalTraversesWan) {
   SimTime arrival;
-  b_->add_receiver([&](const Packet&) { arrival = sim_.now(); });
+  b_->add_receiver_batch(
+      per_packet([&](const Packet&) { arrival = sim_.now(); }));
   net_.send(packet(ext_->address(), b_->address()));
   sim_.run_until();
   // WAN latency (20ms default) dominates: arrival well past LAN-only time.
@@ -74,7 +75,8 @@ TEST_F(NetworkTest, UnroutableDestinationCountsNoRoute) {
 
 TEST_F(NetworkTest, MirrorSeesForwardedTraffic) {
   int mirrored = 0;
-  net_.lan_switch().add_mirror([&](const Packet&) { ++mirrored; });
+  net_.lan_switch().add_mirror_batch(
+      per_packet([&](const Packet&) { ++mirrored; }));
   net_.send(packet(a_->address(), b_->address()));
   net_.send(packet(b_->address(), a_->address()));
   sim_.run_until();
@@ -83,7 +85,7 @@ TEST_F(NetworkTest, MirrorSeesForwardedTraffic) {
 
 TEST_F(NetworkTest, BlockedSourceIsDroppedAtSwitch) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.lan_switch().block_source(a_->address());
   net_.send(packet(a_->address(), b_->address()));
   sim_.run_until();
@@ -98,7 +100,8 @@ TEST_F(NetworkTest, BlockedSourceIsDroppedAtSwitch) {
 
 TEST_F(NetworkTest, InlineHookCanDelayForwarding) {
   SimTime arrival;
-  b_->add_receiver([&](const Packet&) { arrival = sim_.now(); });
+  b_->add_receiver_batch(
+      per_packet([&](const Packet&) { arrival = sim_.now(); }));
   SimTime baseline_arrival;
   {
     // First measure without hook.
@@ -119,7 +122,7 @@ TEST_F(NetworkTest, InlineHookCanDelayForwarding) {
 
 TEST_F(NetworkTest, InlineHookCanDropTraffic) {
   int received = 0;
-  b_->add_receiver([&](const Packet&) { ++received; });
+  b_->add_receiver_batch(per_packet([&](const Packet&) { ++received; }));
   net_.lan_switch().set_inline_hook(
       [](const Packet&, std::function<void(const Packet&)>) {
         // Swallow everything.

@@ -1,7 +1,8 @@
-// Batch-boundary tests for the switch's coalesced fan-out: a same-tick
-// batch must produce the same stats, mirror copies, and forwarded packets
-// as the per-packet path, with mirror/stat updates hoisted to one per
-// batch; blocked sources force the per-packet fallback.
+// Batch-boundary tests for the switch's coalesced fan-out: one same-tick
+// batch of N must produce the same stats, mirror copies, and forwarded
+// packets as N batches of one, with mirror/stat updates hoisted to one
+// per batch; while a source is blocked, packets are admitted one at a
+// time.
 #include "netsim/switch.hpp"
 
 #include <gtest/gtest.h>
@@ -36,21 +37,22 @@ TEST_F(SwitchBatchTest, BatchMatchesPerPacketStats) {
   Switch reference(sim2);
   Link egress_a(sim_, "a", 1e9, SimTime::zero(), 64);
   Link egress_b(sim2, "b", 1e9, SimTime::zero(), 64);
-  egress_a.set_deliver([](const Packet&) {});
-  egress_b.set_deliver([](const Packet&) {});
+  egress_a.set_deliver_batch([](const Packet*, std::size_t) {});
+  egress_b.set_deliver_batch([](const Packet*, std::size_t) {});
   sw_.attach(Ipv4(10, 0, 0, 2), &egress_a);
   reference.attach(Ipv4(10, 0, 0, 2), &egress_b);
   int batch_mirrored = 0;
   int ref_mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++batch_mirrored; });
-  reference.add_mirror([&](const Packet&) { ++ref_mirrored; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++batch_mirrored; }));
+  reference.add_mirror_batch(
+      per_packet([&](const Packet&) { ++ref_mirrored; }));
 
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 4; ++i) {
     batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), i));
   }
   sw_.receive_batch(batch.data(), batch.size());
-  for (const Packet& p : batch) reference.receive(p);
+  for (const Packet& p : batch) reference.receive_batch(&p, 1);
   sim_.run_until();
   sim2.run_until();
 
@@ -65,7 +67,7 @@ TEST_F(SwitchBatchTest, BatchMatchesPerPacketStats) {
 TEST_F(SwitchBatchTest, EmptyMirrorBatchStillForwards) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -84,7 +86,8 @@ TEST_F(SwitchBatchTest, BatchMirrorSeesWholeBatchOnce) {
   sw_.add_mirror_batch([&](const Packet*, std::size_t n) {
     batch_sizes.push_back(n);
   });
-  sw_.add_mirror([&](const Packet&) { ++per_packet_copies; });
+  sw_.add_mirror_batch(
+      per_packet([&](const Packet&) { ++per_packet_copies; }));
   std::vector<Packet> batch;
   for (std::uint64_t i = 0; i < 5; ++i) {
     batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9), i));
@@ -97,24 +100,12 @@ TEST_F(SwitchBatchTest, BatchMirrorSeesWholeBatchOnce) {
   EXPECT_EQ(sw_.stats().mirrored, 10u);
 }
 
-TEST_F(SwitchBatchTest, SingletonBatchTakesLegacyPath) {
-  std::vector<std::size_t> batch_sizes;
-  sw_.add_mirror_batch([&](const Packet*, std::size_t n) {
-    batch_sizes.push_back(n);
-  });
-  const Packet p = make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9));
-  sw_.receive_batch(&p, 1);
-  ASSERT_EQ(batch_sizes.size(), 1u);
-  EXPECT_EQ(batch_sizes[0], 1u);
-  EXPECT_EQ(sw_.stats().mirrored, 1u);
-}
-
 TEST_F(SwitchBatchTest, BlockedSourceFallsBackPerPacket) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
-  egress.set_deliver([](const Packet&) {});
+  egress.set_deliver_batch([](const Packet*, std::size_t) {});
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   int mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++mirrored; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++mirrored; }));
   sw_.block_source(Ipv4(198, 51, 100, 1));
   std::vector<Packet> batch;
   batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 0));
@@ -131,7 +122,7 @@ TEST_F(SwitchBatchTest, BlockedSourceFallsBackPerPacket) {
 TEST_F(SwitchBatchTest, NoRouteCountedPerPacketWithinBatch) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   std::vector<Packet> batch;
   batch.push_back(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2), 0));
@@ -149,8 +140,8 @@ TEST_F(SwitchBatchTest, RouteCacheHandlesAlternatingDestinations) {
   Link link_b(sim_, "b", 1e9, SimTime::zero(), 64);
   int to_a = 0;
   int to_b = 0;
-  link_a.set_deliver([&](const Packet&) { ++to_a; });
-  link_b.set_deliver([&](const Packet&) { ++to_b; });
+  link_a.set_deliver_batch(per_packet([&](const Packet&) { ++to_a; }));
+  link_b.set_deliver_batch(per_packet([&](const Packet&) { ++to_b; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &link_a);
   sw_.attach(Ipv4(10, 0, 0, 3), &link_b);
   std::vector<Packet> batch;
@@ -168,7 +159,7 @@ TEST_F(SwitchBatchTest, RouteCacheHandlesAlternatingDestinations) {
 TEST_F(SwitchBatchTest, InlineHookSeesEveryBatchedPacket) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 64);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
   int inline_seen = 0;
   sw_.set_inline_hook(

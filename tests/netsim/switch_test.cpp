@@ -16,6 +16,9 @@ Packet make(Ipv4 src, Ipv4 dst, std::uint16_t dst_port = 80) {
   return make_packet(1, 1, SimTime::zero(), t, "x");
 }
 
+/// A lone arrival is a batch of one.
+void receive_one(Switch& sw, const Packet& p) { sw.receive_batch(&p, 1); }
+
 class SwitchTest : public ::testing::Test {
  protected:
   SwitchTest() : sw_(sim_) {}
@@ -25,7 +28,7 @@ class SwitchTest : public ::testing::Test {
 };
 
 TEST_F(SwitchTest, NoRouteCounted) {
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9)));
+  receive_one(sw_, make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 9)));
   EXPECT_EQ(sw_.stats().no_route, 1u);
   EXPECT_EQ(sw_.stats().forwarded, 0u);
 }
@@ -33,9 +36,9 @@ TEST_F(SwitchTest, NoRouteCounted) {
 TEST_F(SwitchTest, ForwardsViaAttachedEgress) {
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 8);
   int delivered = 0;
-  egress.set_deliver([&](const Packet&) { ++delivered; });
+  egress.set_deliver_batch(per_packet([&](const Packet&) { ++delivered; }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive_one(sw_, make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   sim_.run_until();
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(sw_.stats().forwarded, 1u);
@@ -44,9 +47,9 @@ TEST_F(SwitchTest, ForwardsViaAttachedEgress) {
 TEST_F(SwitchTest, MultipleMirrorsAllSeeEachPacket) {
   int a = 0;
   int b = 0;
-  sw_.add_mirror([&](const Packet&) { ++a; });
-  sw_.add_mirror([&](const Packet&) { ++b; });
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++a; }));
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++b; }));
+  receive_one(sw_, make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(a, 1);
   EXPECT_EQ(b, 1);
   EXPECT_EQ(sw_.stats().mirrored, 2u);
@@ -57,9 +60,9 @@ TEST_F(SwitchTest, BlockedPacketsNotMirrored) {
   // source is invisible to the IDS too (it cannot re-alert on traffic
   // the firewall already discarded).
   int mirrored = 0;
-  sw_.add_mirror([&](const Packet&) { ++mirrored; });
+  sw_.add_mirror_batch(per_packet([&](const Packet&) { ++mirrored; }));
   sw_.block_source(Ipv4(198, 51, 100, 1));
-  sw_.receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));
+  receive_one(sw_, make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(mirrored, 0);
   EXPECT_EQ(sw_.stats().blocked, 1u);
 }
@@ -69,17 +72,19 @@ TEST_F(SwitchTest, MirrorSeesPacketBeforeInlineDelay) {
   // forwarded copy.
   Link egress(sim_, "egress", 1e9, SimTime::zero(), 8);
   SimTime delivered_at;
-  egress.set_deliver([&](const Packet&) { delivered_at = sim_.now(); });
+  egress.set_deliver_batch(
+      per_packet([&](const Packet&) { delivered_at = sim_.now(); }));
   sw_.attach(Ipv4(10, 0, 0, 2), &egress);
 
   SimTime mirrored_at = SimTime::max();
-  sw_.add_mirror([&](const Packet&) { mirrored_at = sim_.now(); });
+  sw_.add_mirror_batch(
+      per_packet([&](const Packet&) { mirrored_at = sim_.now(); }));
   sw_.set_inline_hook(
       [this](const Packet& p, std::function<void(const Packet&)> fwd) {
         sim_.schedule_in(SimTime::from_ms(5), [p, fwd] { fwd(p); });
       });
 
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive_one(sw_, make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   sim_.run_until();
   EXPECT_EQ(mirrored_at, SimTime::zero());
   EXPECT_GE(delivered_at, SimTime::from_ms(5));
@@ -103,8 +108,8 @@ TEST_F(SwitchTest, InlineHookReceivesEveryNonBlockedPacket) {
         ++inline_seen;
       });
   sw_.block_source(Ipv4(198, 51, 100, 1));
-  sw_.receive(make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));  // blocked
-  sw_.receive(make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
+  receive_one(sw_, make(Ipv4(198, 51, 100, 1), Ipv4(10, 0, 0, 2)));  // blocked
+  receive_one(sw_, make(Ipv4(10, 0, 0, 1), Ipv4(10, 0, 0, 2)));
   EXPECT_EQ(inline_seen, 1);
 }
 

@@ -158,11 +158,12 @@ TEST_F(FlowGenTest, TcpFlowsCarrySynAndFin) {
   // Collect packets at a host and check flag discipline per flow.
   std::map<std::uint64_t, std::vector<netsim::TcpFlags>> flows;
   for (const Ipv4 addr : internal_) {
-    net_.find_host(addr)->add_receiver([&](const netsim::Packet& p) {
-      if (p.tuple.proto == netsim::Protocol::kTcp) {
-        flows[p.flow_id].push_back(p.flags);
-      }
-    });
+    net_.find_host(addr)->add_receiver_batch(
+        netsim::per_packet([&](const netsim::Packet& p) {
+          if (p.tuple.proto == netsim::Protocol::kTcp) {
+            flows[p.flow_id].push_back(p.flags);
+          }
+        }));
   }
   auto gen = make(office_profile());
   gen.start(SimTime::from_sec(3));

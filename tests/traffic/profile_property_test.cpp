@@ -41,7 +41,7 @@ Capture run_profile(const EnvironmentProfile& profile, std::uint64_t seed,
   net.add_external_host("ext", ext);
 
   Capture capture;
-  net.lan_switch().add_mirror([&](const Packet& p) {
+  net.lan_switch().add_mirror_batch(netsim::per_packet([&](const Packet& p) {
     if (!capture.seen_flow[p.flow_id]) {
       capture.seen_flow[p.flow_id] = true;
       capture.arrival_times_sec.push_back(sim.now().sec());
@@ -50,7 +50,7 @@ Capture run_profile(const EnvironmentProfile& profile, std::uint64_t seed,
     if (p.payload_bytes() > 0) {
       capture.payload_bytes.add(static_cast<double>(p.payload_bytes()));
     }
-  });
+  }));
 
   TransactionLedger ledger;
   FlowGenerator gen(sim, net, &ledger, profile, seed);

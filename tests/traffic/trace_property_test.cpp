@@ -89,9 +89,9 @@ TEST(TraceFuzz, AttackCorpusRoundTrips) {
   TransactionLedger ledger;
   attack::AttackEmitter emitter(sim, net, ledger, 5);
   Trace trace;
-  net.lan_switch().add_mirror([&](const Packet& p) {
+  net.lan_switch().add_mirror_batch(netsim::per_packet([&](const Packet& p) {
     trace.append_absolute(sim.now(), p);
-  });
+  }));
   SimTime when = SimTime::from_ms(1);
   for (const auto& t : attack::all_attack_traits()) {
     emitter.launch(t.kind,

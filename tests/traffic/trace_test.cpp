@@ -77,7 +77,8 @@ TEST(TraceTest, ReplayReinjectsPackets) {
   net.add_host("a", Ipv4(10, 0, 0, 1));
   auto* b = net.add_host("b", Ipv4(10, 0, 0, 2));
   int received = 0;
-  b->add_receiver([&](const Packet&) { ++received; });
+  b->add_receiver_batch(
+      netsim::per_packet([&](const Packet&) { ++received; }));
 
   Trace trace;
   trace.append(SimTime::zero(), sample_packet(1, "one"));
@@ -98,7 +99,10 @@ TEST(TraceTest, ReplayTimeScaleCompresses) {
   net.add_host("a", Ipv4(10, 0, 0, 1));
   auto* b = net.add_host("b", Ipv4(10, 0, 0, 2));
   std::vector<double> arrivals;
-  b->add_receiver([&](const Packet&) { arrivals.push_back(sim.now().ms()); });
+  b->add_receiver_batch(
+      netsim::per_packet([&](const Packet&) {
+        arrivals.push_back(sim.now().ms());
+      }));
 
   Trace trace;
   trace.append(SimTime::zero(), sample_packet(1, "one"));
@@ -132,9 +136,9 @@ TEST(TraceTest, CapturedFromMirrorThenReplayed) {
   net.add_host("a", Ipv4(10, 0, 0, 1));
   net.add_host("b", Ipv4(10, 0, 0, 2));
   Trace trace;
-  net.lan_switch().add_mirror([&](const Packet& p) {
+  net.lan_switch().add_mirror_batch(netsim::per_packet([&](const Packet& p) {
     trace.append_absolute(sim.now(), p);
-  });
+  }));
   net.send(sample_packet(5, "captured"));
   sim.run_until();
   ASSERT_EQ(trace.size(), 1u);

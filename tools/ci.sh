@@ -83,6 +83,15 @@ for preset in "${presets[@]}"; do
       -R 'FlowTableTest|FlowTupleTest|KeyAliasingTest|FlowStateEvictionTest'
     "build-${preset}/bench/bench_netsim" --smoke \
       --out "build-${preset}/BENCH_netsim_smoke.json"
+    # Batch-invariance focus run: each packet and detection hand-off has
+    # one batch-shaped entry, so the randomized differential test feeds
+    # the same streams as random splits and as batches of one through
+    # the switch/pipeline and host-agent rigs, here under the sanitizers
+    # (it is also part of the full suite above), beside the per-layer
+    # batch-boundary suites.
+    echo "==== batch-invariance focus (${preset}) ===="
+    ctest --preset "${preset}" --output-on-failure --no-tests=error \
+      -R 'BatchInvarianceTest|SensorBatchTest|SwitchBatchTest|LinkBatchTest'
     # Scan-cache focus run: the interned-payload memo, the flat-map port
     # windows, and the boundary-limited reassembly merge get an explicit
     # sanitizer pass, then a --no-scan-cache evaluation keeps the legacy

@@ -25,8 +25,7 @@
 //       validate a CSV export (rectangular, finite numbers, row count)
 //
 // evaluate, rank, and campaign accept --trace FILE to write a JSONL
-// event trace of the run's pipeline telemetry; --trace-sync forces the
-// synchronous (caller-thread) writer instead of the background thread.
+// event trace of the run's pipeline telemetry.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -109,16 +108,12 @@ std::optional<products::ProductId> product_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-/// Opens the --trace sink when requested; nullptr otherwise. The
-/// background writer thread is the default; --trace-sync keeps all file
-/// I/O on the emitting thread (the two modes produce identical files at
-/// zero drops).
+/// Opens the --trace sink (background writer thread) when requested;
+/// nullptr otherwise.
 std::unique_ptr<telemetry::TraceSink> open_trace(const Args& args) {
   const std::string path = args.opt("trace", "");
   if (path.empty()) return nullptr;
-  return std::make_unique<telemetry::TraceSink>(
-      path, telemetry::TraceSink::kDefaultCapacity,
-      /*background=*/!args.has_flag("trace-sync"));
+  return std::make_unique<telemetry::TraceSink>(path);
 }
 
 void report_trace(const telemetry::TraceSink& trace) {
@@ -781,8 +776,6 @@ int usage() {
       "           [--out DIR] [--out-html] [--trace FILE]\n"
       "  trace-check FILE                        validate a trace file\n"
       "  trace-check --csv FILE [--expect-rows N] validate a CSV export\n"
-      "--trace-sync writes trace events on the emitting thread (default\n"
-      "is a background writer thread; both produce identical files)\n"
       "--no-scan-cache replays the legacy full-rescan detection path\n"
       "(results byte-identical to the default cached path)\n"
       "--kill-chain runs a staged campaign (recon -> exploit -> lateral\n"
