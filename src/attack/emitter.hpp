@@ -41,8 +41,8 @@ class AttackEmitter {
 
   /// Flood kinds emit same-tick trains of `len` packets (gaps drawn at
   /// train boundaries and scaled by `len`, keeping the mean rate), so
-  /// floods land on the coalesced same-tick delivery path the way
-  /// emit_burst-style bulk traffic does. Default 1 = the legacy
+  /// floods land on the coalesced same-tick delivery path as bulk
+  /// traffic does. Default 1 = the legacy
   /// packet-per-tick emission (identical RNG draw sequence).
   void set_flood_train(std::uint32_t len) noexcept {
     flood_train_ = len == 0 ? 1 : len;

@@ -21,7 +21,7 @@ Testbed::Testbed(TestbedConfig config, const products::ProductModel* model,
     : config_(std::move(config)),
       model_(model),
       sensitivity_(sensitivity),
-      engine_(netsim::ShardPlan::central(config_.shards)),
+      engine_(netsim::ShardPlan{config_.shards}),
       sim_(engine_.hub()) {
   build();
 }
@@ -29,7 +29,7 @@ Testbed::Testbed(TestbedConfig config, const products::ProductModel* model,
 Testbed::~Testbed() = default;
 
 void Testbed::build() {
-  net_ = std::make_unique<netsim::Network>(engine_, engine_.plan());
+  net_ = std::make_unique<netsim::Network>(engine_);
 
   // Internal enclave: 10.0.0.x on a fast LAN.
   for (std::size_t i = 0; i < config_.internal_hosts; ++i) {

@@ -44,8 +44,8 @@ struct TestbedConfig {
   /// Same-tick packets per flood train for attack floods (see
   /// AttackEmitter::set_flood_train); 1 = legacy per-packet emission.
   std::uint32_t flood_train = 1;
-  /// Event-queue shards the simulation runs on (netsim::ShardedSimulator,
-  /// central plan): shard 0 keeps traffic generation, the switch, every
+  /// Event-queue shards the simulation runs on (netsim::ShardedSimulator
+  /// with a netsim::ShardPlan): shard 0 keeps traffic generation, the switch, every
   /// uplink, and the IDS pipeline; internal hosts hash onto shards
   /// 1..N-1, which execute their downlink deliveries and host agents.
   /// Results are byte-identical at every shard count; 1 = the legacy

@@ -58,7 +58,7 @@ class Link {
 
   /// When disabled, every packet gets its own delivery group and event
   /// even at identical arrival ticks — the single-packet reference path
-  /// that batch-equivalence tests and benches compare against.
+  /// that batch-equivalence tests compare against.
   void set_coalescing(bool enabled) noexcept { coalesce_ = enabled; }
   bool coalescing() const noexcept { return coalesce_; }
 

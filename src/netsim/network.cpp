@@ -8,10 +8,9 @@ namespace idseval::netsim {
 
 Network::Network(Simulator& sim) : sim_(sim), switch_(sim) {}
 
-Network::Network(ShardedSimulator& engine, const ShardPlan& plan)
-    : sim_(engine.hub()), switch_(engine.hub()), engine_(&engine),
-      plan_(plan) {
-  if (plan_.shards() > 1) {
+Network::Network(ShardedSimulator& engine)
+    : sim_(engine.hub()), switch_(engine.hub()), engine_(&engine) {
+  if (engine.shards() > 1) {
     // One barrier source for all this network's remote downlinks: their
     // send side (the switch) lives on the hub shard, so the hub's flush
     // phase drains them.

@@ -28,12 +28,12 @@ class Network {
  public:
   explicit Network(Simulator& sim);
 
-  /// Sharded-central topology: traffic generation, the LAN switch, and
-  /// every uplink stay on the engine's hub shard; hosts whose plan shard
-  /// is non-zero receive their downlink deliveries (and run their host
+  /// Sharded topology: traffic generation, the LAN switch, and every
+  /// uplink stay on the engine's hub shard; hosts whose plan shard is
+  /// non-zero receive their downlink deliveries (and run their host
   /// agents) on that shard, fed through cross-shard mailboxes. With a
-  /// one-shard plan this is exactly the legacy single-queue topology.
-  Network(ShardedSimulator& engine, const ShardPlan& plan);
+  /// one-shard engine this is exactly the single-queue topology.
+  explicit Network(ShardedSimulator& engine);
 
   /// Adds an internal (LAN) host. Returns a stable pointer owned by the
   /// network.
@@ -59,12 +59,12 @@ class Network {
   ShardedSimulator* engine() noexcept { return engine_; }
   /// Shard that owns `addr`'s receive side (0 without an engine).
   std::size_t shard_of(Ipv4 addr) const noexcept {
-    return engine_ ? plan_.shard_of(addr) : 0;
+    return engine_ ? engine_->plan().shard_of(addr) : 0;
   }
   /// Simulator whose clock governs `addr`'s receive side — the hub for
   /// legacy networks and hub-resident hosts, the host's shard otherwise.
   Simulator& sim_of(Ipv4 addr) noexcept {
-    return engine_ ? engine_->shard(plan_.shard_of(addr)) : sim_;
+    return engine_ ? engine_->shard(shard_of(addr)) : sim_;
   }
 
   /// Allocates a fresh event lane (links take them in attach order; host
@@ -86,8 +86,8 @@ class Network {
   void reset_link_stats();
 
   /// Toggles same-tick delivery coalescing on every host link. Off gives
-  /// the one-event-per-packet reference path batch-equivalence tests and
-  /// benches compare against.
+  /// the one-event-per-packet reference path the determinism tests
+  /// compare against.
   void set_delivery_coalescing(bool enabled);
 
   const std::vector<Host*>& hosts() const noexcept { return host_order_; }
@@ -107,7 +107,6 @@ class Network {
   Simulator& sim_;
   Switch switch_;
   ShardedSimulator* engine_ = nullptr;
-  ShardPlan plan_;
   std::uint32_t next_lane_ = 1;
   std::unordered_map<std::uint32_t, Attachment> attachments_;
   std::vector<Host*> host_order_;

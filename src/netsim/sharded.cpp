@@ -27,25 +27,10 @@ bool threads_forced() {
 
 }  // namespace
 
-ShardPlan ShardPlan::central(std::size_t shards) {
-  ShardPlan plan;
-  plan.shards_ = shards == 0 ? 1 : shards;
-  plan.central_ = true;
-  return plan;
-}
-
-ShardPlan ShardPlan::distributed(std::size_t shards) {
-  ShardPlan plan;
-  plan.shards_ = shards == 0 ? 1 : shards;
-  plan.central_ = false;
-  return plan;
-}
-
 std::size_t ShardPlan::shard_of(Ipv4 addr) const noexcept {
   if (shards_ == 1) return 0;
   const std::uint64_t h = util::derive_seed(kShardSalt, addr.value());
-  if (central_) return 1 + static_cast<std::size_t>(h % (shards_ - 1));
-  return static_cast<std::size_t>(h % shards_);
+  return 1 + static_cast<std::size_t>(h % (shards_ - 1));
 }
 
 ShardedSimulator::ShardedSimulator(const ShardPlan& plan) : plan_(plan) {

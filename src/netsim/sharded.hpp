@@ -48,24 +48,21 @@
 
 namespace idseval::netsim {
 
-/// Deterministic host -> shard partition. Central plans keep shard 0 as
-/// the hub (traffic generation, switch, IDS pipeline) and spread hosts
-/// over shards 1..N-1 by topology hash; distributed plans spread hosts
-/// over all N shards. The map depends only on the address and the shard
+/// Deterministic host -> shard partition. Shard 0 is the hub (traffic
+/// generation, switch, IDS pipeline); hosts spread over shards 1..N-1 by
+/// topology hash. The map depends only on the address and the shard
 /// count, never on attach order.
 class ShardPlan {
  public:
-  ShardPlan() = default;  ///< Single shard; everything on shard 0.
-  static ShardPlan central(std::size_t shards);
-  static ShardPlan distributed(std::size_t shards);
+  /// `shards` == 0 is treated as 1: everything on shard 0.
+  explicit ShardPlan(std::size_t shards) noexcept
+      : shards_(shards == 0 ? 1 : shards) {}
 
   std::size_t shards() const noexcept { return shards_; }
-  bool central_hub() const noexcept { return central_; }
   std::size_t shard_of(Ipv4 addr) const noexcept;
 
  private:
-  std::size_t shards_ = 1;
-  bool central_ = true;
+  std::size_t shards_;
 };
 
 /// N shards, per-(src,dst) mailboxes, conservative window loop.
@@ -102,7 +99,7 @@ class ShardedSimulator {
   std::size_t shards() const noexcept { return sims_.size(); }
   const ShardPlan& plan() const noexcept { return plan_; }
   Simulator& shard(std::size_t i) noexcept { return *sims_[i]; }
-  /// Shard 0 — the hub in central plans, and the only shard at N=1.
+  /// Shard 0 — the hub, and the only shard at N=1.
   Simulator& hub() noexcept { return *sims_[0]; }
   /// Telemetry registry owned for shard i (nullptr for shard 0, which
   /// records into the ambient thread-local registry of the caller).

@@ -137,7 +137,9 @@ std::string table_to_markdown(const Doc& table) {
   }
   out += "|";
   for (const std::string& name : shape.names) {
-    out += " " + md_cell(name) + " |";
+    out += ' ';
+    out += md_cell(name);
+    out += " |";
   }
   out += "\n|";
   for (const bool right : shape.right) {
@@ -148,7 +150,9 @@ std::string table_to_markdown(const Doc& table) {
     if (is_rule_row(row)) continue;
     out += "|";
     for (const Doc& cell : row.elements()) {
-      out += " " + md_cell(cell_text(cell)) + " |";
+      out += ' ';
+      out += md_cell(cell_text(cell));
+      out += " |";
     }
     out += "\n";
   }

@@ -32,8 +32,8 @@ class TraceSink {
   /// buffer between drains. With `background` (the default) a dedicated
   /// writer thread drains the buffer as lines arrive; without it the
   /// buffer only drains at explicit flush()/close() calls (the
-  /// single-threaded reference mode the trace-writer tests and
-  /// bench_netsim's trace section compare against).
+  /// single-threaded reference mode the trace-writer tests compare
+  /// against).
   explicit TraceSink(std::string path,
                      std::size_t capacity_lines = kDefaultCapacity,
                      bool background = true);

@@ -42,10 +42,6 @@ void FlowGenerator::set_external_hosts(std::vector<Ipv4> hosts) {
   external_ = std::move(hosts);
 }
 
-void FlowGenerator::set_source_hosts(std::vector<Ipv4> hosts) {
-  sources_ = std::move(hosts);
-}
-
 void FlowGenerator::start(SimTime until) {
   if (internal_.empty()) {
     throw std::logic_error("FlowGenerator: no internal hosts configured");
@@ -91,8 +87,7 @@ void FlowGenerator::schedule_next_arrival() {
 Ipv4 FlowGenerator::pick_source() {
   const bool external =
       !external_.empty() && rng_.chance(profile_.external_fraction);
-  const auto& pool =
-      external ? external_ : (sources_.empty() ? internal_ : sources_);
+  const auto& pool = external ? external_ : internal_;
   return pool[rng_.index(pool.size())];
 }
 
@@ -204,42 +199,6 @@ void FlowGenerator::step_flow(FlowHandle handle) {
                      [this, handle] { step_flow(handle); });
   } else {
     release_flow_state(handle);
-  }
-}
-
-void FlowGenerator::emit_burst(Ipv4 src, Ipv4 dst, std::uint16_t dst_port,
-                               std::uint32_t count,
-                               std::size_t payload_bytes) {
-  if (count == 0) return;
-  FiveTuple tuple;
-  tuple.src_ip = src;
-  tuple.dst_ip = dst;
-  tuple.src_port =
-      static_cast<std::uint16_t>(rng_.uniform_u64(1024, 65535));
-  tuple.dst_port = dst_port;
-  tuple.proto = Protocol::kTcp;
-
-  const std::uint64_t flow_id = sim_.next_flow_id();
-  Transaction* txn = nullptr;
-  if (ledger_ != nullptr) {
-    txn = &ledger_->begin(flow_id, tuple, sim_.now(), /*is_attack=*/false);
-  }
-  ++stats_.flows_started;
-
-  for (std::uint32_t seq = 0; seq < count; ++seq) {
-    Packet p = netsim::make_packet(
-        sim_.next_packet_id(), flow_id, sim_.now(), tuple,
-        pool_->background(PayloadKind::kRandom, payload_bytes));
-    p.seq = seq;
-    p.flags.syn = (seq == 0);
-    p.flags.ack = (seq != 0);
-    p.flags.fin = (seq + 1 == count);
-    net_.send(p);
-    ++stats_.packets_emitted;
-    stats_.bytes_emitted += p.wire_bytes();
-    if (txn != nullptr) {
-      TransactionLedger::touch(*txn, sim_.now(), p.wire_bytes());
-    }
   }
 }
 

@@ -43,14 +43,6 @@ class FlowGenerator {
   /// hosts only source (toward internal destinations) and receive replies.
   void set_internal_hosts(std::vector<netsim::Ipv4> hosts);
   void set_external_hosts(std::vector<netsim::Ipv4> hosts);
-  /// Restricts internal SOURCES to `hosts` while set_internal_hosts keeps
-  /// defining the destination pool. Distributed sharding uses this: each
-  /// shard's generator sources flows only from hosts attached to its own
-  /// Network (Network::send requires a local uplink) while destinations
-  /// span the whole enclave, so flows cross shards over the trunk fabric.
-  /// Empty (the default) means sources draw from the internal pool.
-  void set_source_hosts(std::vector<netsim::Ipv4> hosts);
-
   /// Scales the profile's arrival rate — the load knob for throughput
   /// sweeps (Table 3's load-dependent metrics).
   void set_rate_scale(double scale) noexcept { rate_scale_ = scale; }
@@ -59,14 +51,6 @@ class FlowGenerator {
   /// Begins generating; flow arrivals stop at `until` (in-flight flows
   /// finish their remaining packets).
   void start(netsim::SimTime until);
-
-  /// Emits `count` back-to-back packets of one flow right now (no pacing
-  /// gaps), producing a same-tick arrival train on zero-bandwidth links —
-  /// the worst-case fan-out that batched delivery coalesces. Intended for
-  /// benches/tests; ledger and stats accounting match paced emission.
-  void emit_burst(netsim::Ipv4 src, netsim::Ipv4 dst,
-                  std::uint16_t dst_port, std::uint32_t count,
-                  std::size_t payload_bytes);
 
   const FlowGenStats& stats() const noexcept { return stats_; }
   const EnvironmentProfile& profile() const noexcept { return profile_; }
@@ -118,7 +102,6 @@ class FlowGenerator {
 
   std::vector<netsim::Ipv4> internal_;
   std::vector<netsim::Ipv4> external_;
-  std::vector<netsim::Ipv4> sources_;  ///< Empty = internal_ sources.
   std::vector<double> mix_weights_;
 
   std::vector<FlowState> slab_;

@@ -67,11 +67,6 @@ class TransactionLedger {
   std::vector<const Transaction*> all() const;
   std::vector<const Transaction*> attacks() const;
 
-  /// Flow-table access statistics (probes per lookup etc.).
-  const util::FlowTableStats& table_stats() const noexcept {
-    return by_flow_.stats();
-  }
-
  private:
   util::FlowTable<std::uint64_t, Transaction> by_flow_;
   std::vector<std::uint64_t> order_;

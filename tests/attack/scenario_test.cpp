@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/strfmt.hpp"
+
 namespace idseval::attack {
 namespace {
 
@@ -83,7 +85,7 @@ TEST(ScenarioTest, RunLaunchesEverything) {
   std::vector<Ipv4> internal;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net.add_host("h" + std::to_string(i), addr);
+    net.add_host(util::cat("h", i), addr);
     internal.push_back(addr);
   }
   const Ipv4 ext(198, 51, 100, 1);
@@ -106,7 +108,7 @@ TEST(ScenarioTest, InsiderStepsUseInternalAttackers) {
   std::vector<Ipv4> internal;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net.add_host("h" + std::to_string(i), addr);
+    net.add_host(util::cat("h", i), addr);
     internal.push_back(addr);
   }
   const Ipv4 ext(198, 51, 100, 1);

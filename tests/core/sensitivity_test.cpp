@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
+#include "util/strfmt.hpp"
 
 namespace idseval::core {
 namespace {
@@ -126,7 +127,7 @@ TEST(WeightRobustnessTest, FlipScaleVerifiedByPerturbation) {
   for (int round = 0; round < 15; ++round) {
     std::vector<Scorecard> cards;
     for (int p = 0; p < 3; ++p) {
-      Scorecard card("P" + std::to_string(p));
+      Scorecard card(util::cat("P", p));
       for (int m = 0; m < 6; ++m) {
         card.set(static_cast<MetricId>(m),
                  Score(static_cast<int>(rng.uniform_u64(0, 4))));

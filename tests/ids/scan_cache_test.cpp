@@ -320,5 +320,70 @@ TEST(ScanCacheTest, NonReassemblingCachedEngineMatchesLegacy) {
   EXPECT_EQ(cached.scan_cache_stats().hits, 10u);
 }
 
+TEST(ScanCacheTest, CachedEnginesMatchLegacyOnPooledPayloadHotLoop) {
+  // The detection-engine hot loop over the few-variant interned payload
+  // mix pooled RT-cluster/ICS traffic produces: deep inspection with
+  // stream reassembly and the entropy model side by side, learning for
+  // the first eighth of the stream and detecting after it. Mostly
+  // low-entropy repetitive frames, signature-bearing payloads (one
+  // pattern near the start, one deep inside where only the memo sees
+  // it) and a boundary-straddling fragment pair, cycled over 32 flows.
+  const std::string traversal(attack::patterns::kDirTraversal);
+  std::vector<PayloadRef> pool;
+  util::Rng rng(20260808);
+  for (int v = 0; v < 12; ++v) {
+    std::string s(static_cast<std::size_t>(384 + 48 * v), '\0');
+    for (char& ch : s) {
+      ch = static_cast<char>(
+          'a' + rng.index(static_cast<std::size_t>(2 + v % 5)));
+    }
+    pool.push_back(intern(std::move(s)));
+  }
+  pool.push_back(
+      intern("GET " + traversal + " HTTP/1.0 " + std::string(480, 'b')));
+  pool.push_back(intern("GET /a" + traversal.substr(0, 7)));
+  pool.push_back(intern(traversal.substr(7) + std::string(440, 'c')));
+  pool.push_back(intern(std::string(512, 'd')));
+  pool.push_back(intern(std::string(300, 'e') +
+                       std::string(attack::patterns::kShellInvoke) +
+                       std::string(100, 'e')));
+
+  struct Engines {
+    SignatureEngine signature;
+    AnomalyEngine anomaly;
+    std::vector<Detection> out;
+  };
+  const auto make = [](bool cache) {
+    SignatureEngineOptions sig;
+    sig.stream_reassembly = true;
+    sig.scan_cache = cache;
+    AnomalyEngineOptions ano;
+    ano.scan_cache = cache;
+    return Engines{SignatureEngine(standard_rule_set(), sig),
+                   AnomalyEngine(ano), {}};
+  };
+  Engines cached = make(true);
+  Engines legacy = make(false);
+
+  constexpr std::size_t kPackets = 16384;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    if (i == kPackets / 8) {
+      cached.anomaly.set_mode(AnomalyEngine::Mode::kDetecting);
+      legacy.anomaly.set_mode(AnomalyEngine::Mode::kDetecting);
+    }
+    const Packet p = shared_packet(1 + (i % 32), static_cast<std::uint32_t>(i),
+                                   pool[(i * 7) % pool.size()]);
+    const SimTime now = SimTime::from_us(static_cast<double>(i));
+    for (Engines* e : {&cached, &legacy}) {
+      e->signature.process(p, now, e->out);
+      e->anomaly.process(p, now, e->out);
+    }
+  }
+  ASSERT_GT(legacy.out.size(), 0u);
+  expect_same_detections(cached.out, legacy.out);
+  EXPECT_GT(cached.signature.scan_cache_stats().hits, kPackets / 2);
+  EXPECT_GT(cached.anomaly.scan_cache_stats().hits, kPackets / 2);
+}
+
 }  // namespace
 }  // namespace idseval::ids

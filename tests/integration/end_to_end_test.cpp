@@ -3,7 +3,7 @@
 // environments (TEST_P property sweeps on the Figure 3 invariants).
 #include <gtest/gtest.h>
 
-#include <type_traits>
+#include <ostream>
 
 #include "core/report.hpp"
 #include "harness/evaluate.hpp"
@@ -31,21 +31,18 @@ TestbedConfig env_for(const std::string& profile, std::uint64_t seed) {
   return env;
 }
 
-// gtest names each instance from the bytes of its parameter, padding
-// included. `zero_fill` takes the place of the padding after `product`:
-// left as padding it held heap leftovers, and the test names changed
-// from one test discovery to the next.
 struct Case {
-  Case(ProductId product, const char* profile, std::uint64_t seed)
-      : product(product), profile(profile), seed(seed) {}
-
   ProductId product;
-  std::uint8_t zero_fill[sizeof(const char*) - sizeof(ProductId)] = {};
   const char* profile;
   std::uint64_t seed;
 };
-static_assert(std::has_unique_object_representations_v<Case>,
-              "Case must have no padding bytes");
+
+// Names each instance after its product and profile. Printed as raw
+// bytes, the parameter held the address of `profile`, which moves from
+// one test discovery to the next.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << products::to_string(c.product) << '_' << c.profile;
+}
 
 class ConfusionInvariants : public ::testing::TestWithParam<Case> {};
 

@@ -20,26 +20,25 @@ namespace {
 SimTime us(std::int64_t v) { return SimTime::from_us(v); }
 
 TEST(ShardPlanTest, CentralKeepsShardZeroAsHubAndIsStable) {
-  const ShardPlan plan = ShardPlan::central(4);
+  const ShardPlan plan{4};
   EXPECT_EQ(plan.shards(), 4u);
-  EXPECT_TRUE(plan.central_hub());
   // The map depends only on (address, shard count): same address, same
   // shard, every time — and never the hub.
   const Ipv4 addr(0x0a000007);
   const std::size_t s = plan.shard_of(addr);
   EXPECT_GE(s, 1u);
   EXPECT_LT(s, 4u);
-  EXPECT_EQ(ShardPlan::central(4).shard_of(addr), s);
+  EXPECT_EQ(ShardPlan{4}.shard_of(addr), s);
 }
 
 TEST(ShardPlanTest, SingleShardMapsEverythingToZero) {
-  const ShardPlan plan = ShardPlan::central(1);
+  const ShardPlan plan{1};
   EXPECT_EQ(plan.shard_of(Ipv4(0x0a000001)), 0u);
   EXPECT_EQ(plan.shard_of(Ipv4(0xc0a80101)), 0u);
 }
 
 TEST(ShardedSimulatorTest, SingleShardDelegatesToTheLegacyLoop) {
-  ShardedSimulator engine{ShardPlan::central(1)};
+  ShardedSimulator engine{ShardPlan{1}};
   int fired = 0;
   engine.hub().schedule_at(us(10), [&] { ++fired; });
   EXPECT_EQ(engine.run_until(us(20)), 1u);
@@ -50,7 +49,7 @@ TEST(ShardedSimulatorTest, SingleShardDelegatesToTheLegacyLoop) {
 }
 
 TEST(ShardedSimulatorTest, RunUntilAlignsEveryShardClock) {
-  ShardedSimulator engine{ShardPlan::central(3)};
+  ShardedSimulator engine{ShardPlan{3}};
   engine.add_channel(0, 1, us(50));
   engine.add_channel(1, 0, us(50));
   engine.run_until(us(500));
@@ -64,7 +63,7 @@ TEST(ShardedSimulatorTest, RunUntilAlignsEveryShardClock) {
 // other and with the destination's own events exactly as the (lane, seq)
 // key dictates — not in mailbox-drain order or source-shard order.
 TEST(ShardedSimulatorTest, SameTickCrossShardMessagesMergeInLaneOrder) {
-  ShardedSimulator engine{ShardPlan::central(3)};
+  ShardedSimulator engine{ShardPlan{3}};
   engine.add_channel(0, 1, us(50));
   engine.add_channel(0, 2, us(50));
   engine.add_channel(1, 0, us(50));
@@ -99,7 +98,7 @@ TEST(ShardedSimulatorTest, SameTickCrossShardMessagesMergeInLaneOrder) {
 // tick 150us must still execute — at its exact tick — even though the
 // destination shard is running concurrently.
 TEST(ShardedSimulatorTest, LookaheadBoundaryMessageArrivesOnTime) {
-  ShardedSimulator engine{ShardPlan::central(2)};
+  ShardedSimulator engine{ShardPlan{2}};
   engine.add_channel(0, 1, us(50));
   engine.add_channel(1, 0, us(50));
   EXPECT_EQ(engine.lookahead(), us(50));
@@ -122,7 +121,7 @@ TEST(ShardedSimulatorTest, LookaheadBoundaryMessageArrivesOnTime) {
 // delay ahead. Exercises repeated windows, and the count pins that every
 // hop ran exactly once.
 TEST(ShardedSimulatorTest, CrossShardPingPongChainsThroughWindows) {
-  ShardedSimulator engine{ShardPlan::central(2)};
+  ShardedSimulator engine{ShardPlan{2}};
   engine.add_channel(0, 1, us(50));
   engine.add_channel(1, 0, us(50));
 
@@ -146,7 +145,7 @@ TEST(ShardedSimulatorTest, ThreadedAndSequentialOrdersAgree) {
   // be identical (the golden-hash harness test proves this at scale —
   // this is the minimal engine-level version).
   auto run = [](bool threaded) {
-    ShardedSimulator engine{ShardPlan::central(3)};
+    ShardedSimulator engine{ShardPlan{3}};
     engine.set_threaded(threaded);
     engine.add_channel(0, 1, us(50));
     engine.add_channel(0, 2, us(50));

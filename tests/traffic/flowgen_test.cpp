@@ -5,6 +5,7 @@
 #include <map>
 
 #include "traffic/profile.hpp"
+#include "util/strfmt.hpp"
 
 namespace idseval::traffic {
 namespace {
@@ -17,7 +18,7 @@ class FlowGenTest : public ::testing::Test {
   FlowGenTest() : net_(sim_) {
     for (int i = 1; i <= 4; ++i) {
       const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-      net_.add_host("h" + std::to_string(i), addr);
+      net_.add_host(util::cat("h", i), addr);
       internal_.push_back(addr);
     }
     const Ipv4 ext(198, 51, 100, 1);
@@ -60,7 +61,7 @@ TEST_F(FlowGenTest, RateScaleScalesArrivals) {
   std::vector<Ipv4> hosts;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net2.add_host("h" + std::to_string(i), addr);
+    net2.add_host(util::cat("h", i), addr);
     hosts.push_back(addr);
   }
   TransactionLedger ledger2;
@@ -88,7 +89,7 @@ TEST_F(FlowGenTest, DeterministicForSameSeed) {
   std::vector<Ipv4> hosts;
   for (int i = 1; i <= 4; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net2.add_host("h" + std::to_string(i), addr);
+    net2.add_host(util::cat("h", i), addr);
     hosts.push_back(addr);
   }
   const Ipv4 ext(198, 51, 100, 1);

@@ -12,6 +12,7 @@
 #include "traffic/flowgen.hpp"
 #include "traffic/profile.hpp"
 #include "util/stats.hpp"
+#include "util/strfmt.hpp"
 
 namespace idseval::traffic {
 namespace {
@@ -34,7 +35,7 @@ Capture run_profile(const EnvironmentProfile& profile, std::uint64_t seed,
   std::vector<Ipv4> internal;
   for (int i = 1; i <= 6; ++i) {
     const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
-    net.add_host("h" + std::to_string(i), addr);
+    net.add_host(util::cat("h", i), addr);
     internal.push_back(addr);
   }
   const Ipv4 ext(198, 51, 100, 1);

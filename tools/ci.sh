@@ -35,19 +35,19 @@ for preset in "${presets[@]}"; do
   fi
 done
 
-# Event-core benchmark smoke under the Release preset: checks the
-# zero-heap-fallback invariant and archives the throughput report next to
-# the build tree. The smoke run includes the shard_scaling section at 1
-# and 2 shards (2-shard throughput floor warn-only: wall-clock speedup
-# needs >= N physical cores, which CI machines may not have) and the
-# scan_cache section (cached-vs-legacy detection identity hard-fails;
-# the >=1.5x speedup floor is warn-only — it is a wall-clock ratio).
+# Release leg with warnings as errors: builds the whole tree at -O3
+# under -Werror, then runs the hot-path suites on the optimized build —
+# the zero-callback-fallback invariant, the testbed and megaflow
+# wall-clock floors (hard-fail only on optimized, sanitizer-free builds
+# like this one), the cached == full-rescan detection identity, and the
+# background == synchronous trace-writer byte identity.
 # Skipped when only specific presets were requested.
 if [ $# -eq 0 ]; then
-  echo "==== bench smoke (release) ===="
-  cmake --preset release
-  cmake --build --preset release -j"${jobs}" --target bench_netsim
-  build-release/bench/bench_netsim --smoke --out BENCH_netsim.json
+  echo "==== hot-path suites (release, -Werror) ===="
+  cmake --preset release -DIDSEVAL_WERROR=ON
+  cmake --build --preset release -j"${jobs}"
+  ctest --preset release --output-on-failure --no-tests=error \
+    -R 'CallbackFallbackTest|ThroughputFloorTest|ScanCacheTest|TraceSinkTest'
 fi
 
 # Traced-campaign smoke test under the sanitizer build: the example CI
@@ -73,16 +73,14 @@ for preset in "${presets[@]}"; do
     # Flow-table core focus run: the open-addressing FlowTable, packed
     # FlowTuple keys, the XOR-aliasing regressions, and the per-flow
     # eviction paths get an explicit sanitizer pass (they are also part
-    # of the full suite above), plus the megaflow bench section in smoke
-    # mode — its throughput floor is warn-only under instrumentation.
-    # (ctest names are the discovered gtest suites, not the binary
-    # names; --no-tests=error keeps a filter typo from passing as a
-    # silent no-op.)
+    # of the full suite above), beside the zero-callback-fallback suite
+    # and the megaflow floor workload (its floor is warn-only under
+    # instrumentation). (ctest names are the discovered gtest suites,
+    # not the binary names; --no-tests=error keeps a filter typo from
+    # passing as a silent no-op.)
     echo "==== flow-table focus (${preset}) ===="
     ctest --preset "${preset}" --output-on-failure --no-tests=error \
-      -R 'FlowTableTest|FlowTupleTest|KeyAliasingTest|FlowStateEvictionTest'
-    "build-${preset}/bench/bench_netsim" --smoke \
-      --out "build-${preset}/BENCH_netsim_smoke.json"
+      -R 'FlowTableTest|FlowTupleTest|KeyAliasingTest|FlowStateEvictionTest|CallbackFallbackTest|ThroughputFloorTest.MegaflowFlowRate'
     # Batch-invariance focus run: each packet and detection hand-off has
     # one batch-shaped entry, so the randomized differential test feeds
     # the same streams as random splits and as batches of one through

@@ -26,6 +26,10 @@
 //
 // evaluate, rank, and campaign accept --trace FILE to write a JSONL
 // event trace of the run's pipeline telemetry.
+//
+// Each command accepts only the options it reads (command_options());
+// any other --name exits 2 with "error: unknown option --NAME for
+// COMMAND".
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -69,6 +73,7 @@ struct Args {
   std::string positional;
   std::map<std::string, std::string> options;
   std::vector<std::string> flags;
+  std::vector<std::string> names;  ///< Every --name, in argv order.
 
   bool has_flag(const std::string& name) const {
     for (const auto& f : flags) {
@@ -89,6 +94,7 @@ Args parse_args(int argc, char** argv) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
       const std::string name = token.substr(2);
+      args.names.push_back(name);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         args.options[name] = argv[++i];
       } else {
@@ -757,6 +763,29 @@ int cmd_trace_check(const Args& args) {
   return 0;
 }
 
+/// The options each command reads. Any other --name is a usage error,
+/// so a misspelt or retired option cannot pass silently.
+const std::map<std::string, std::vector<std::string>>& command_options() {
+  static const std::map<std::string, std::vector<std::string>> kOptions = {
+      {"products", {}},
+      {"catalog", {}},
+      {"evaluate",
+       {"product", "profile", "sensitivity", "seed", "shards", "load-metrics",
+        "notes", "no-scan-cache", "kill-chain", "out", "trace"}},
+      {"rank",
+       {"profile", "weights", "sensitivity", "seed", "jobs", "shards",
+        "load-metrics", "robustness", "no-scan-cache", "kill-chain",
+        "trace"}},
+      {"sweep",
+       {"product", "profile", "steps", "seed", "shards", "single-pass",
+        "no-scan-cache"}},
+      {"campaign",
+       {"spec", "jobs", "shards", "resume", "out", "out-html", "trace"}},
+      {"trace-check", {"file", "csv", "expect-rows"}},
+  };
+  return kOptions;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -791,6 +820,16 @@ int usage() {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  const auto known = command_options().find(args.command);
+  if (known == command_options().end()) return usage();
+  for (const std::string& name : args.names) {
+    if (std::find(known->second.begin(), known->second.end(), name) ==
+        known->second.end()) {
+      std::fprintf(stderr, "error: unknown option --%s for %s\n",
+                   name.c_str(), args.command.c_str());
+      return 2;
+    }
+  }
   try {
     if (args.command == "products") return cmd_products();
     if (args.command == "catalog") return cmd_catalog(args);
