@@ -18,10 +18,10 @@ int main() {
 
   for (const products::ProductModel& model : products::product_catalog()) {
     harness::Testbed bed(env, &model, 0.5);
-    const auto scenario = attack::Scenario::mixed(
+    const auto chain = attack::KillChain::mixed(
         4, netsim::SimTime::zero(), env.measure * 0.9, 1234,
         env.external_hosts, env.internal_hosts);
-    const harness::RunResult r = bed.run(scenario);
+    const harness::RunResult r = bed.run(chain);
 
     std::printf("%s\n", model.name.c_str());
     std::printf("  Transactions (T):            %zu\n", r.transactions);

@@ -35,10 +35,10 @@ int main() {
              util::cat(util::fmt_si(throughput), " pps"));
 
     harness::Testbed bed(env, &model, 0.5);
-    const auto scenario = attack::Scenario::mixed(
+    const auto chain = attack::KillChain::mixed(
         2, netsim::SimTime::zero(), env.measure * 0.9, env.seed,
         env.external_hosts, env.internal_hosts);
-    const harness::RunResult run = bed.run(scenario);
+    const harness::RunResult run = bed.run(chain);
     card.set(core::MetricId::kDataStorage,
              core::score_data_storage(run.storage_bytes_per_mb),
              util::cat(util::fmt_si(run.storage_bytes_per_mb), "B/MB"));

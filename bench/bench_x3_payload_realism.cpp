@@ -33,10 +33,10 @@ int main() {
       env.profile = realistic ? traffic::ecommerce_profile()
                               : traffic::random_flood_profile();
       harness::Testbed bed(env, &model, 0.6);
-      const auto scenario = attack::Scenario::mixed(
+      const auto chain = attack::KillChain::mixed(
           4, netsim::SimTime::zero(), env.measure * 0.9, 555,
           env.external_hosts, env.internal_hosts);
-      const harness::RunResult r = bed.run(scenario);
+      const harness::RunResult r = bed.run(chain);
       const double benign =
           static_cast<double>(r.transactions - r.attacks);
       table.add_row(

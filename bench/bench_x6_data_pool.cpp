@@ -47,11 +47,11 @@ int main() {
         harness::measure_zero_loss_pps(env, model, 0.5, 160.0, 1e-4, 5);
 
     harness::Testbed bed(env, &model, 0.5);
-    const auto scenario = attack::Scenario::of_kinds(
+    const auto chain = attack::KillChain::of_kinds(
         {attack::AttackKind::kNovelExploit, attack::AttackKind::kWebExploit},
         4, netsim::SimTime::zero(), env.measure * 0.9, 4242,
         env.external_hosts, env.internal_hosts);
-    const harness::RunResult r = bed.run(scenario);
+    const harness::RunResult r = bed.run(chain);
 
     const auto& novel = r.per_kind.at(attack::AttackKind::kNovelExploit);
     const auto& web = r.per_kind.at(attack::AttackKind::kWebExploit);

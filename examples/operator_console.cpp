@@ -27,10 +27,10 @@ int main() {
 
   // A noisy fortnight compressed into 40 seconds: scans, floods, worms,
   // an insider, repeated from a small set of attackers.
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       3, SimTime::zero(), SimTime::from_sec(36), 2024, env.external_hosts,
       env.internal_hosts);
-  const harness::RunResult run = bed.run(scenario);
+  const harness::RunResult run = bed.run(chain);
 
   ids::Pipeline& pipeline = *bed.pipeline();
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
+#include "util/rng.hpp"
 #include "util/strfmt.hpp"
 
 namespace idseval::attack {
@@ -15,20 +16,6 @@ std::size_t KillChain::total_steps() const noexcept {
   std::size_t n = 0;
   for (const auto& stage : stages_) n += stage.steps.size();
   return n;
-}
-
-Scenario KillChain::to_scenario() const {
-  if (!singleton()) {
-    throw std::logic_error(
-        "KillChain::to_scenario: multi-stage chains schedule dynamically");
-  }
-  Scenario scenario;
-  if (!stages_.empty()) {
-    for (const ScenarioStep& step : stages_.front().steps) {
-      scenario.add_step(step);
-    }
-  }
-  return scenario;
 }
 
 util::FlatMap<AttackKind, std::size_t> KillChain::histogram() const {
@@ -55,14 +42,14 @@ std::vector<std::uint64_t> KillChain::run(
 
   SimTime stage_base = start;
   for (const ChainStage& cs : stages_) {
-    emitter.set_stage_override(static_cast<int>(cs.stage));
+    emitter.set_stage_override(cs.stage ? static_cast<int>(*cs.stage) : -1);
     StageLaunch rec;
     rec.stage = cs.stage;
     rec.steps = cs.steps.size();
     rec.begin = stage_base;
     SimTime stage_end = stage_base;
     bool first = true;
-    for (const ScenarioStep& step : cs.steps) {
+    for (const AttackStep& step : cs.steps) {
       const bool insider = traits(step.kind).insider;
       const std::vector<Ipv4>* pool = nullptr;
       if (cs.pivot && !compromised.empty()) {
@@ -95,10 +82,10 @@ std::vector<std::uint64_t> KillChain::run(
         compromised.push_back(victim);
       }
     }
-    if (!cs.steps.empty()) {
+    if (cs.stage && !cs.steps.empty()) {
       telemetry::bump(
           telemetry::counter_handle(
-              util::cat("attack.stage.", to_string(cs.stage), ".launched")),
+              util::cat("attack.stage.", to_string(*cs.stage), ".launched")),
           cs.steps.size());
     }
     rec.end = stage_end;
@@ -112,6 +99,25 @@ std::vector<std::uint64_t> KillChain::run(
 }
 
 namespace {
+
+AttackStep draw_step(util::Rng& rng, AttackKind kind, SimTime window_start,
+                     double span, std::size_t attacker_pool,
+                     std::size_t victim_pool) {
+  AttackStep step;
+  step.when = window_start + SimTime::from_sec(rng.uniform(0.0, span));
+  step.kind = kind;
+  step.attacker_index = rng.index(std::max<std::size_t>(1, attacker_pool));
+  step.victim_index = rng.index(std::max<std::size_t>(1, victim_pool));
+  return step;
+}
+
+// Launch order by time keeps logs readable; emitters don't require it.
+void sort_by_time(std::vector<AttackStep>& steps) {
+  std::sort(steps.begin(), steps.end(),
+            [](const AttackStep& a, const AttackStep& b) {
+              return a.when < b.when;
+            });
+}
 
 struct StageSpec {
   Stage stage;
@@ -175,18 +181,10 @@ KillChain KillChain::preset(const std::string& name, std::uint64_t seed,
     cs.pivot = s.pivot;
     cs.compromises = s.compromises;
     for (const AttackKind kind : s.kinds) {
-      ScenarioStep step;
-      step.when = SimTime::from_sec(rng.uniform(0.0, span));
-      step.kind = kind;
-      step.attacker_index =
-          rng.index(std::max<std::size_t>(1, attacker_pool));
-      step.victim_index = rng.index(std::max<std::size_t>(1, victim_pool));
-      cs.steps.push_back(step);
+      cs.steps.push_back(draw_step(rng, kind, SimTime::zero(), span,
+                                   attacker_pool, victim_pool));
     }
-    std::sort(cs.steps.begin(), cs.steps.end(),
-              [](const ScenarioStep& a, const ScenarioStep& b) {
-                return a.when < b.when;
-              });
+    sort_by_time(cs.steps);
     chain.add_stage(std::move(cs));
   }
   return chain;
@@ -196,6 +194,39 @@ const std::vector<std::string>& KillChain::preset_names() {
   static const std::vector<std::string> kNames = {
       "intrusion", "ics-takeover", "canbus-storm"};
   return kNames;
+}
+
+KillChain KillChain::mixed(std::size_t per_kind, SimTime window_start,
+                           SimTime window_end, std::uint64_t seed,
+                           std::size_t attacker_pool,
+                           std::size_t victim_pool) {
+  std::vector<AttackKind> kinds;
+  for (const auto& t : all_attack_traits()) kinds.push_back(t.kind);
+  return of_kinds(kinds, per_kind, window_start, window_end, seed,
+                  attacker_pool, victim_pool);
+}
+
+KillChain KillChain::of_kinds(const std::vector<AttackKind>& kinds,
+                              std::size_t per_kind, SimTime window_start,
+                              SimTime window_end, std::uint64_t seed,
+                              std::size_t attacker_pool,
+                              std::size_t victim_pool) {
+  if (window_end < window_start) {
+    throw std::invalid_argument("KillChain: window_end < window_start");
+  }
+  util::Rng rng(seed);
+  ChainStage flat;
+  const double span = (window_end - window_start).sec();
+  for (const AttackKind kind : kinds) {
+    for (std::size_t i = 0; i < per_kind; ++i) {
+      flat.steps.push_back(draw_step(rng, kind, window_start, span,
+                                     attacker_pool, victim_pool));
+    }
+  }
+  sort_by_time(flat.steps);
+  KillChain chain;
+  chain.add_stage(std::move(flat));
+  return chain;
 }
 
 }  // namespace idseval::attack

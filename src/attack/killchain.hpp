@@ -1,37 +1,52 @@
-// Kill-chain attack campaigns: multi-stage scripted campaigns
-// (recon → exploit → lateral movement → exfil) whose ground truth carries
-// the stage each step actually ran in, on top of the per-kind ATT&CK
-// technique tags from AttackTraits. A KillChain is an ordered list of
-// stages; each stage is a set of ScenarioSteps whose times are offsets
-// from the stage's start. Later stages launch only after every flow of the
+// Attack campaigns: declarative, timed scripts of attack launches mixed
+// into background traffic. A campaign plus a seed fully determines the
+// injected threat picture, giving the repeatable "canned data with known
+// attack content" the methodology needs.
+//
+// A KillChain is an ordered list of stages; each stage is a set of
+// AttackSteps whose times are offsets from the stage's start. A flat
+// script (mixed, of_kinds) is one unlabelled stage: every attack drops
+// independently, and each transaction keeps its kind's default stage
+// from AttackTraits. A kill chain (preset: recon → exploit → lateral
+// movement → exfil) labels its stages, and its ground truth carries the
+// stage each step actually ran in, on top of the per-kind ATT&CK
+// technique tags. Later stages launch only after every flow of the
 // earlier stage has finished emitting (emitters schedule eagerly, so a
 // stage's end time is known at launch), and lateral/exfil stages can
 // pivot the attacker pool onto the internal hosts compromised earlier in
-// the chain. A chain plus one seed fully determines the campaign.
-//
-// Singleton chains (one stage) degrade to a flat Scenario and take the
-// exact legacy Scenario::run path, preserving the golden determinism hash
-// for every configuration that doesn't opt into campaigns.
+// the chain.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "attack/emitter.hpp"
 #include "attack/kind.hpp"
-#include "attack/scenario.hpp"
 #include "netsim/address.hpp"
 #include "netsim/sim_time.hpp"
 #include "util/flat_map.hpp"
 
 namespace idseval::attack {
 
+struct AttackStep {
+  netsim::SimTime when;
+  AttackKind kind;
+  /// Index into the attacker pool (external hosts, except insider attacks
+  /// which index the internal pool).
+  std::size_t attacker_index = 0;
+  /// Index into the victim (internal) pool.
+  std::size_t victim_index = 0;
+};
+
 /// One stage of a campaign. Step `when` values are offsets from the
 /// stage's (dynamic) start time, not absolute simulation times.
 struct ChainStage {
-  Stage stage = Stage::kRecon;
-  std::vector<ScenarioStep> steps;
+  /// Kill-chain label for the stage's transactions; unset for a flat
+  /// script, whose transactions keep their kind's default stage.
+  std::optional<Stage> stage;
+  std::vector<AttackStep> steps;
   /// Quiet dwell time between this stage's last emitted packet and the
   /// next stage's first launch.
   netsim::SimTime gap_after = netsim::SimTime::from_ms(500);
@@ -45,7 +60,7 @@ struct ChainStage {
 
 /// Record of one executed stage, for logs and tests.
 struct StageLaunch {
-  Stage stage = Stage::kRecon;
+  std::optional<Stage> stage;
   std::size_t steps = 0;
   netsim::SimTime begin;  ///< First launch time of the stage.
   netsim::SimTime end;    ///< Last scheduled packet across its flows.
@@ -62,16 +77,6 @@ class KillChain {
   std::size_t size() const noexcept { return stages_.size(); }
   std::size_t total_steps() const noexcept;
 
-  /// True when the chain has at most one stage — it then degrades to a
-  /// flat Scenario (see to_scenario) and callers must use the legacy
-  /// Scenario::run path, which the golden determinism hash pins.
-  bool singleton() const noexcept { return stages_.size() <= 1; }
-
-  /// Flattens a singleton chain into a Scenario whose step times are the
-  /// stage-relative offsets. Throws for multi-stage chains (their timing
-  /// depends on emission, which a static Scenario cannot express).
-  Scenario to_scenario() const;
-
   /// Counts per attack kind across every stage (kind-ordered iteration).
   util::FlatMap<AttackKind, std::size_t> histogram() const;
 
@@ -81,8 +86,10 @@ class KillChain {
   /// stages, first-touch order); insider kinds fall back to the internal
   /// pool and everything else to `external_attackers` when no host has
   /// been compromised yet. Stage labels ride into the transaction ledger
-  /// via the emitter's stage override. Returns launched flow ids in
-  /// launch order; per-stage timing lands in `last_run()`.
+  /// via the emitter's stage override, and each labelled stage counts its
+  /// launches in `attack.stage.<stage>.launched`; an unlabelled stage
+  /// does neither. Returns launched flow ids in launch order; per-stage
+  /// timing lands in `last_run()`.
   std::vector<std::uint64_t> run(
       AttackEmitter& emitter,
       const std::vector<netsim::Ipv4>& external_attackers,
@@ -114,6 +121,23 @@ class KillChain {
 
   /// Names preset() accepts, for CLI help and validation.
   static const std::vector<std::string>& preset_names();
+
+  /// Builds a flat chain: `per_kind` instances of every attack kind,
+  /// launch times uniform in [window_start, window_end), attacker/victim
+  /// indices random, steps sorted by time, all in one unlabelled stage.
+  /// Deterministic in `seed`.
+  static KillChain mixed(std::size_t per_kind, netsim::SimTime window_start,
+                         netsim::SimTime window_end, std::uint64_t seed,
+                         std::size_t attacker_pool = 4,
+                         std::size_t victim_pool = 8);
+
+  /// Builds a flat chain containing only the given kinds.
+  static KillChain of_kinds(const std::vector<AttackKind>& kinds,
+                            std::size_t per_kind,
+                            netsim::SimTime window_start,
+                            netsim::SimTime window_end, std::uint64_t seed,
+                            std::size_t attacker_pool = 4,
+                            std::size_t victim_pool = 8);
 
  private:
   std::string name_;

@@ -36,21 +36,22 @@ Evaluation evaluate_product(const TestbedConfig& env,
     if (ctx != nullptr && ctx->score_ledger() != nullptr) {
       bed.set_score_ledger(ctx->score_ledger());
     }
-    if (!options.kill_chain.empty()) {
-      // Stage offsets are relative to each stage's dynamic start; the
-      // per-stage span keeps a four-stage chain (plus emission tails)
-      // comfortably inside the measurement window.
-      const auto chain = attack::KillChain::preset(
-          options.kill_chain, util::hash64("evaluate") ^ env.seed,
-          env.measure * 0.08, env.external_hosts, env.internal_hosts);
-      m.detection_run = bed.run(chain);
-    } else {
-      const auto scenario = attack::Scenario::mixed(
-          options.attacks_per_kind, SimTime::zero(), env.measure * 0.9,
-          util::hash64("evaluate") ^ env.seed, env.external_hosts,
-          env.internal_hosts);
-      m.detection_run = bed.run(scenario);
-    }
+    // The flat mixed chain spreads its attacks over 90% of the window. A
+    // preset's stage offsets are relative to each stage's dynamic start;
+    // its per-stage span keeps a four-stage chain (plus emission tails)
+    // comfortably inside the measurement window.
+    const std::uint64_t seed = util::hash64("evaluate") ^ env.seed;
+    const auto chain =
+        options.kill_chain.empty()
+            ? attack::KillChain::mixed(options.attacks_per_kind,
+                                       SimTime::zero(), env.measure * 0.9,
+                                       seed, env.external_hosts,
+                                       env.internal_hosts)
+            : attack::KillChain::preset(options.kill_chain, seed,
+                                        env.measure * 0.08,
+                                        env.external_hosts,
+                                        env.internal_hosts);
+    m.detection_run = bed.run(chain);
   }
   // Snapshot stage telemetry now: the load probes below rebuild testbeds
   // and would fold their traffic into the same per-thread registry.

@@ -24,8 +24,8 @@ struct EvaluationOptions {
   /// Unit costs behind the unified cost/capability score.
   score::CostWeights cost_weights;
   /// Kill-chain preset name (attack::KillChain::preset). Empty runs the
-  /// legacy flat mixed scenario; non-empty replaces the detection run
-  /// with a staged campaign (recon → exploit → lateral → exfil) whose
+  /// flat mixed chain (attack::KillChain::mixed); non-empty replaces the
+  /// detection run with a staged campaign (recon → exploit → lateral → exfil) whose
   /// ground truth carries per-stage and ATT&CK technique labels.
   std::string kill_chain;
 };
@@ -33,7 +33,7 @@ struct EvaluationOptions {
 /// The measured values backing the scorecard entries, retained so reports
 /// can show measurement evidence next to the discrete scores.
 struct Measurements {
-  RunResult detection_run;        ///< Mixed-scenario detection run.
+  RunResult detection_run;        ///< Mixed-chain detection run.
   double zero_loss_pps = 0.0;
   double system_throughput_pps = 0.0;
   std::optional<double> lethal_dose_pps;

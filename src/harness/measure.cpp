@@ -56,12 +56,11 @@ RunResult simulate(const TestbedConfig& base,
               sensitivity);
   bed.set_stop_hook(std::move(stop_hook));
   if (kind != ProbeKind::kFlood) return bed.run_clean();
-  const auto scenario = attack::Scenario::of_kinds(
+  return bed.run(attack::KillChain::of_kinds(
       {attack::AttackKind::kSynFlood}, /*per_kind=*/2,
       netsim::SimTime::zero(), cfg.measure * 0.9,
       util::hash64("lethal-dose") ^ base.seed, base.external_hosts,
-      base.internal_hosts);
-  return bed.run(scenario);
+      base.internal_hosts));
 }
 
 LoadPoint point_from(const RunResult& r, double rate_scale) {
@@ -761,11 +760,10 @@ std::vector<ErrorRatePoint> sensitivity_sweep(
   std::vector<std::exception_ptr> errors(sensitivities.size());
   const auto run_point = [&](std::size_t i) {
     Testbed bed(base, &model, sensitivities[i]);
-    const auto scenario = attack::Scenario::mixed(
+    const RunResult r = bed.run(attack::KillChain::mixed(
         attacks_per_kind, SimTime::zero(), base.measure * 0.9,
         util::hash64("sweep") ^ base.seed, base.external_hosts,
-        base.internal_hosts);
-    const RunResult r = bed.run(scenario);
+        base.internal_hosts));
     ErrorRatePoint p;
     p.sensitivity = sensitivities[i];
     p.fp_ratio = r.fp_ratio;
@@ -815,16 +813,15 @@ SinglePassSweep single_pass_sensitivity_sweep(
     const TestbedConfig& base, const products::ProductModel& model,
     const std::vector<double>& sensitivities, std::size_t attacks_per_kind,
     double record_sensitivity) {
-  // Same scenario construction as the re-simulated sweep, so the two
-  // paths score the identical ground truth.
+  // Same chain construction as the re-simulated sweep, so the two paths
+  // score the identical ground truth.
   score::ScoreLedger ledger;
   Testbed bed(base, &model, record_sensitivity);
   bed.set_score_ledger(&ledger);
-  const auto scenario = attack::Scenario::mixed(
+  bed.run(attack::KillChain::mixed(
       attacks_per_kind, SimTime::zero(), base.measure * 0.9,
       util::hash64("sweep") ^ base.seed, base.external_hosts,
-      base.internal_hosts);
-  bed.run(scenario);
+      base.internal_hosts));
 
   SinglePassSweep out;
   out.record_sensitivity = record_sensitivity;

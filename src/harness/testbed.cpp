@@ -125,30 +125,7 @@ void Testbed::build() {
   }
 }
 
-RunResult Testbed::run(const attack::Scenario& scenario) {
-  return run_phases([&](SimTime measure_start) {
-    // Scenario steps are relative to measurement start.
-    attack::Scenario shifted;
-    for (attack::ScenarioStep step : scenario.steps()) {
-      step.when += measure_start;
-      shifted.add_step(step);
-    }
-    shifted.run(*emitter_, external_, internal_);
-  });
-}
-
 RunResult Testbed::run(const attack::KillChain& chain) {
-  // A chain of at most one stage is exactly a flat scenario; route it
-  // through the legacy overload so its RNG-draw sequence (and hence the
-  // golden determinism hash) is untouched.
-  if (chain.singleton()) return run(chain.to_scenario());
-  return run_phases([&](SimTime measure_start) {
-    chain.run(*emitter_, external_, internal_, measure_start);
-  });
-}
-
-template <class Inject>
-RunResult Testbed::run_phases(const Inject& inject) {
   const SimTime warmup_end = config_.warmup;
   const SimTime measure_end = warmup_end + config_.measure;
   const SimTime drain_end = measure_end + config_.drain;
@@ -188,9 +165,9 @@ RunResult Testbed::run_phases(const Inject& inject) {
       net_->find_host(addr)->begin_accounting(sim_.now());
     }
 
-    // Attack traffic is injected at the barrier; step times are relative
-    // to the measurement start the callback receives.
-    inject(warmup_end);
+    // Attack traffic is injected at the barrier; stage offsets are
+    // relative to the measurement start.
+    chain.run(*emitter_, external_, internal_, warmup_end);
 
     const bool measured =
         advance(measure_end, /*measuring=*/true, /*poll_at_end=*/true);
@@ -272,9 +249,7 @@ void Testbed::attach_score_ledger() {
   }
 }
 
-RunResult Testbed::run_clean() {
-  return run(attack::Scenario{});
-}
+RunResult Testbed::run_clean() { return run(attack::KillChain{}); }
 
 RunResult Testbed::collect(SimTime measure_start, SimTime measure_end) {
   RunResult r;

@@ -1,9 +1,9 @@
 // The evaluation testbed: one protected enclave (internal hosts on a LAN
 // switch), an external attacker/client population behind a WAN link, a
 // product under test attached per its architecture, background traffic
-// from an environment profile, and a scripted attack scenario with ground
+// from an environment profile, and a scripted attack campaign with ground
 // truth. A Testbed run is a pure function of (config, product,
-// sensitivity, scenario) — the scientific repeatability §1 demands.
+// sensitivity, campaign) — the scientific repeatability §1 demands.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 
 #include "attack/emitter.hpp"
 #include "attack/killchain.hpp"
-#include "attack/scenario.hpp"
 #include "ids/pipeline.hpp"
 #include "score/breakdown.hpp"
 #include "netsim/network.hpp"
@@ -150,18 +149,12 @@ class Testbed {
           double sensitivity);
   ~Testbed();
 
-  /// Runs warmup (attack-free, anomaly engines learning) then the
-  /// measurement phase with the scenario injected. Scenario step times
-  /// are interpreted relative to the start of the measurement phase.
-  RunResult run(const attack::Scenario& scenario);
-
-  /// Runs a kill-chain campaign: stage k+1 launches only after stage k's
-  /// flows finish emitting, with lateral/exfil stages pivoting onto
-  /// compromised hosts (attack::KillChain::run). Stage offsets are
-  /// relative to each stage's dynamic start. Singleton chains degrade to
-  /// the flat Scenario overload — the exact legacy code path, so the
-  /// golden determinism hash is untouched when no multi-stage chain is
-  /// configured.
+  /// Runs warmup (attack-free, anomaly engines learning), then the
+  /// measurement phase with the campaign injected, then the drain. The
+  /// first stage's offsets are relative to the start of the measurement
+  /// phase; stage k+1 launches only after stage k's flows finish
+  /// emitting (attack::KillChain::run). A flat chain (KillChain::mixed,
+  /// of_kinds) is one unlabelled stage.
   RunResult run(const attack::KillChain& chain);
 
   /// Optional score ledger: when set before run(), the pipeline records
@@ -207,12 +200,6 @@ class Testbed {
   /// Wires the evidence sink(s): one shared ledger when everything runs
   /// on the hub, per-shard ledgers for remote host agents otherwise.
   void attach_score_ledger();
-  /// The shared three-phase run skeleton (warmup / measure / drain).
-  /// `inject` runs at the phase-2 barrier, on this thread, with every
-  /// shard idle and clock-aligned — it schedules the attack traffic for
-  /// the measurement window starting at `measure_start`.
-  template <class Inject>
-  RunResult run_phases(const Inject& inject);
   RunResult collect(netsim::SimTime measure_start,
                     netsim::SimTime measure_end);
   /// Advances the engine to `until`, polling the stop hook at every

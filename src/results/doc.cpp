@@ -378,9 +378,15 @@ class Parser {
     if (eof()) error("unexpected end of input");
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxJsonDepth) {
+          error("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                " levels");
+        }
+        Doc doc = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return doc;
+      }
       case '"':
         return Doc(parse_string());
       case 't':
@@ -611,6 +617,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -12,6 +12,7 @@
 // 64-bit seeds round-trip exactly instead of sagging through a double.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -136,8 +137,14 @@ std::string to_json_pretty(const Doc& doc, int indent = 2);
 /// Strict parser for one complete JSON value; throws std::invalid_argument
 /// with a position-annotated message on malformed input. \uXXXX escapes
 /// (including surrogate pairs) decode to UTF-8. Integers that fit 64 bits
-/// keep integer kind; everything else becomes a double.
+/// keep integer kind; everything else becomes a double. Arrays and
+/// objects nested more than kMaxJsonDepth deep are rejected, so hostile
+/// input cannot exhaust the stack.
 Doc parse_json(std::string_view text);
+
+/// Deepest array/object nesting parse_json accepts. Store rows, trace
+/// events and BENCHMARK.json nest fewer than ten levels.
+inline constexpr std::size_t kMaxJsonDepth = 256;
 
 /// True iff `line` is one complete JSON value (whitespace padding ok).
 bool validate_json_line(std::string_view line) noexcept;

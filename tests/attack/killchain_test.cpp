@@ -9,6 +9,7 @@
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
 #include "traffic/ledger.hpp"
+#include "util/strfmt.hpp"
 
 namespace idseval::attack {
 namespace {
@@ -47,7 +48,6 @@ TEST(KillChainTest, PresetsFollowTheCanonicalArc) {
     EXPECT_EQ(chain.stages()[1].stage, Stage::kExploit);
     EXPECT_EQ(chain.stages()[2].stage, Stage::kLateral);
     EXPECT_EQ(chain.stages()[3].stage, Stage::kExfil);
-    EXPECT_FALSE(chain.singleton());
     // Lateral and exfil pivot onto hosts the exploit stage compromised.
     EXPECT_TRUE(chain.stages()[1].compromises);
     EXPECT_TRUE(chain.stages()[2].pivot);
@@ -60,26 +60,6 @@ TEST(KillChainTest, UnknownPresetThrows) {
                std::invalid_argument);
 }
 
-TEST(KillChainTest, SingletonFlattensToScenarioMultiStageThrows) {
-  KillChain one("one");
-  ChainStage stage;
-  stage.stage = Stage::kRecon;
-  ScenarioStep step;
-  step.when = SimTime::from_ms(25);
-  step.kind = AttackKind::kPortScan;
-  stage.steps.push_back(step);
-  one.add_stage(stage);
-  EXPECT_TRUE(one.singleton());
-  const Scenario flat = one.to_scenario();
-  ASSERT_EQ(flat.steps().size(), 1u);
-  EXPECT_EQ(flat.steps()[0].kind, AttackKind::kPortScan);
-  EXPECT_EQ(flat.steps()[0].when, SimTime::from_ms(25));
-
-  const KillChain multi =
-      KillChain::preset("intrusion", 9, SimTime::from_sec(1));
-  EXPECT_THROW(multi.to_scenario(), std::logic_error);
-}
-
 TEST(KillChainTest, HistogramCountsAcrossStages) {
   const KillChain chain =
       KillChain::preset("intrusion", 3, SimTime::from_sec(1));
@@ -90,6 +70,140 @@ TEST(KillChainTest, HistogramCountsAcrossStages) {
   const std::size_t* scans = counts.find(AttackKind::kPortScan);
   ASSERT_NE(scans, nullptr);
   EXPECT_EQ(*scans, 1u);
+}
+
+// Flat chains: the one-stage, unlabelled scripts mixed() and of_kinds()
+// build. The suite keeps the name of the flat-script tests it replaced,
+// so their ids carry over.
+const std::vector<AttackStep>& flat_steps(const KillChain& chain) {
+  EXPECT_EQ(chain.size(), 1u);
+  EXPECT_FALSE(chain.stages().front().stage.has_value());
+  return chain.stages().front().steps;
+}
+
+TEST(ScenarioTest, MixedCoversEveryKind) {
+  const KillChain s = KillChain::mixed(3, SimTime::zero(),
+                                       SimTime::from_sec(60), 1);
+  EXPECT_EQ(flat_steps(s).size(), 3 * kAttackKindCount);
+  const auto hist = s.histogram();
+  EXPECT_EQ(hist.size(), kAttackKindCount);
+  for (const auto& [kind, count] : hist) EXPECT_EQ(count, 3u);
+}
+
+TEST(ScenarioTest, StepsSortedByTime) {
+  const KillChain s = KillChain::mixed(5, SimTime::zero(),
+                                       SimTime::from_sec(60), 2);
+  const auto& steps = flat_steps(s);
+  for (std::size_t i = 1; i < steps.size(); ++i) {
+    EXPECT_LE(steps[i - 1].when, steps[i].when);
+  }
+}
+
+TEST(ScenarioTest, StepsWithinWindow) {
+  const SimTime lo = SimTime::from_sec(10);
+  const SimTime hi = SimTime::from_sec(20);
+  const KillChain s = KillChain::mixed(4, lo, hi, 3);
+  for (const auto& step : flat_steps(s)) {
+    EXPECT_GE(step.when, lo);
+    EXPECT_LT(step.when, hi);
+  }
+}
+
+TEST(ScenarioTest, DeterministicForSeed) {
+  const KillChain a = KillChain::mixed(2, SimTime::zero(),
+                                       SimTime::from_sec(30), 7);
+  const KillChain b = KillChain::mixed(2, SimTime::zero(),
+                                       SimTime::from_sec(30), 7);
+  const auto& sa = flat_steps(a);
+  const auto& sb = flat_steps(b);
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].when, sb[i].when);
+    EXPECT_EQ(sa[i].kind, sb[i].kind);
+    EXPECT_EQ(sa[i].attacker_index, sb[i].attacker_index);
+  }
+}
+
+TEST(ScenarioTest, DifferentSeedsDiffer) {
+  const KillChain a = KillChain::mixed(2, SimTime::zero(),
+                                       SimTime::from_sec(30), 7);
+  const KillChain b = KillChain::mixed(2, SimTime::zero(),
+                                       SimTime::from_sec(30), 8);
+  const auto& sa = flat_steps(a);
+  const auto& sb = flat_steps(b);
+  bool any_diff = false;
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    if (sa[i].when != sb[i].when) any_diff = true;
+  }
+  EXPECT_TRUE(any_diff);
+}
+
+TEST(ScenarioTest, OfKindsRestrictsKinds) {
+  const KillChain s = KillChain::of_kinds(
+      {AttackKind::kPortScan, AttackKind::kSmtpWorm}, 5, SimTime::zero(),
+      SimTime::from_sec(10), 4);
+  EXPECT_EQ(flat_steps(s).size(), 10u);
+  for (const auto& step : flat_steps(s)) {
+    EXPECT_TRUE(step.kind == AttackKind::kPortScan ||
+                step.kind == AttackKind::kSmtpWorm);
+  }
+}
+
+TEST(ScenarioTest, BadWindowThrows) {
+  EXPECT_THROW(KillChain::mixed(1, SimTime::from_sec(10),
+                                SimTime::from_sec(5), 1),
+               std::invalid_argument);
+}
+
+/// A four-host enclave and one external attacker on a bare network.
+struct FlatRig {
+  FlatRig() : net(sim), emitter(sim, net, ledger, 5) {
+    for (int i = 1; i <= 4; ++i) {
+      const Ipv4 addr(10, 0, 0, static_cast<std::uint8_t>(i));
+      net.add_host(util::cat("h", i), addr);
+      internal.push_back(addr);
+    }
+    net.add_external_host("ext", ext);
+  }
+
+  netsim::Simulator sim;
+  netsim::Network net;
+  traffic::TransactionLedger ledger;
+  AttackEmitter emitter;
+  std::vector<Ipv4> internal;
+  const Ipv4 ext{198, 51, 100, 1};
+};
+
+TEST(ScenarioTest, RunLaunchesEverything) {
+  FlatRig rig;
+  const KillChain s = KillChain::mixed(2, SimTime::zero(),
+                                       SimTime::from_sec(10), 9);
+  const auto flows =
+      s.run(rig.emitter, {rig.ext}, rig.internal, SimTime::zero());
+  EXPECT_EQ(flows.size(), s.total_steps());
+  EXPECT_EQ(rig.ledger.attack_count(), s.total_steps());
+  rig.sim.run_until();
+  EXPECT_GT(rig.emitter.stats().packets_emitted, 0u);
+}
+
+TEST(ScenarioTest, InsiderStepsUseInternalAttackers) {
+  FlatRig rig;
+  const KillChain s = KillChain::of_kinds(
+      {AttackKind::kInsiderMasquerade}, 4, SimTime::zero(),
+      SimTime::from_sec(5), 11);
+  s.run(rig.emitter, {rig.ext}, rig.internal, SimTime::zero());
+  for (const traffic::Transaction* t : rig.ledger.attacks()) {
+    EXPECT_TRUE(t->tuple.src_ip.in_subnet(Ipv4(10, 0, 0, 0), 8));
+    EXPECT_NE(t->tuple.src_ip, t->tuple.dst_ip);
+  }
+}
+
+TEST(ScenarioTest, RunWithoutHostsThrows) {
+  FlatRig rig;
+  const KillChain s = KillChain::mixed(1, SimTime::zero(),
+                                       SimTime::from_sec(5), 1);
+  EXPECT_THROW(s.run(rig.emitter, {}, {}, SimTime::zero()),
+               std::invalid_argument);
 }
 
 class KillChainRunTest : public ::testing::Test {

@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "attack/scenario.hpp"
+#include "attack/killchain.hpp"
 #include "harness/testbed.hpp"
 #include "netsim/network.hpp"
 #include "netsim/simulator.hpp"
@@ -56,11 +56,11 @@ TEST(CallbackFallbackTest, EveryProfileTestbedRunsInline) {
       cfg.measure = SimTime::from_sec(2);
       cfg.drain = SimTime::from_sec(1);
       Testbed bed(cfg, &products::product(id), 0.5);
-      const auto scenario = attack::Scenario::mixed(
+      const auto chain = attack::KillChain::mixed(
           1, SimTime::zero(), cfg.measure * 0.9,
           util::hash64("fallbacks") ^ cfg.seed, cfg.external_hosts,
           cfg.internal_hosts);
-      const RunResult r = bed.run(scenario);
+      const RunResult r = bed.run(chain);
       EXPECT_GT(r.transactions, 0u);
       EXPECT_EQ(bed.engine().alloc_fallbacks(), 0u);
     }

@@ -28,7 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/killchain.hpp"
-#include "attack/scenario.hpp"
+#include "attack/killchain.hpp"
 #include "harness/testbed.hpp"
 #include "products/catalog.hpp"
 #include "traffic/profile.hpp"
@@ -149,11 +149,11 @@ std::uint64_t golden_run_hash(GoldenOptions opt = {}) {
   StreamHash sh;
   bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
       [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       2, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
       cfg.internal_hosts);
-  const RunResult r = bed.run(scenario);
+  const RunResult r = bed.run(chain);
   hash_result(sh, r);
   return sh.h;
 }
@@ -206,30 +206,6 @@ TEST(DeterminismTest, ThreadedAndSequentialShardsAreIdentical) {
   // the other's in-window state.
   EXPECT_EQ(golden_run_hash({.shards = 3, .threaded = 1}),
             golden_run_hash({.shards = 3, .threaded = 0}));
-}
-
-// The golden scenario wrapped in a one-stage kill chain. singleton()
-// chains must degrade to the exact legacy Scenario::run path — same RNG
-// draws, same bytes, same hash — so configurations that never opt into
-// campaigns cannot drift when the campaign machinery evolves.
-TEST(DeterminismTest, SingletonKillChainReproducesTheGoldenHash) {
-  TestbedConfig cfg = golden_config();
-  const auto& model = products::product(products::ProductId::kGuardSecure);
-  Testbed bed(cfg, &model, 0.5);
-  StreamHash sh;
-  bed.net().lan_switch().add_mirror_batch(netsim::per_packet(
-      [&sh](const netsim::Packet& p) { hash_packet(sh, p); }));
-  const auto scenario = attack::Scenario::mixed(
-      2, SimTime::zero(), cfg.measure * 0.9,
-      util::hash64("golden") ^ cfg.seed, cfg.external_hosts,
-      cfg.internal_hosts);
-  attack::KillChain chain("golden-wrapper");
-  attack::ChainStage stage;
-  stage.steps = scenario.steps();
-  chain.add_stage(std::move(stage));
-  const RunResult r = bed.run(chain);
-  hash_result(sh, r);
-  EXPECT_EQ(sh.h, kGoldenHash);
 }
 
 std::uint64_t chain_run_hash(std::size_t shards) {

@@ -36,16 +36,18 @@ TEST(FilterEffectivenessTest, RepeatOffenderSuppressedAfterBlock) {
   // One attacker fires a critical web exploit early, then keeps
   // attacking: the first exploit triggers the firewall block; later
   // attacks from the same source count as suppressed.
-  attack::Scenario scenario;
+  attack::ChainStage flat;
   for (int i = 0; i < 6; ++i) {
-    attack::ScenarioStep step;
+    attack::AttackStep step;
     step.when = SimTime::from_sec(1.0 + 3.0 * i);
     step.kind = AttackKind::kWebExploit;
     step.attacker_index = 0;  // same attacker every time
     step.victim_index = static_cast<std::size_t>(i);
-    scenario.add_step(step);
+    flat.steps.push_back(step);
   }
-  const RunResult r = bed.run(scenario);
+  attack::KillChain chain;
+  chain.add_stage(std::move(flat));
+  const RunResult r = bed.run(chain);
 
   ASSERT_GT(r.firewall_blocks, 0u);
   EXPECT_GT(r.post_block_attacks_suppressed, 0u);
@@ -112,12 +114,12 @@ TEST(FilterEffectivenessTest, BlockingSharedAddressShowsCollateral) {
   env.drain = netsim::SimTime::from_sec(3);
   Testbed bed(env, &model, 0.6);
 
-  attack::Scenario scenario;
-  attack::ScenarioStep step;
-  step.when = netsim::SimTime::from_sec(1);
-  step.kind = attack::AttackKind::kWebExploit;
-  scenario.add_step(step);
-  const RunResult r = bed.run(scenario);
+  attack::ChainStage flat;
+  flat.steps.push_back({.when = netsim::SimTime::from_sec(1),
+                        .kind = attack::AttackKind::kWebExploit});
+  attack::KillChain chain;
+  chain.add_stage(std::move(flat));
+  const RunResult r = bed.run(chain);
   if (r.firewall_blocks > 0) {
     EXPECT_GT(r.post_block_benign_collateral, 0u);
   }

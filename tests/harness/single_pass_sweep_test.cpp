@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "attack/scenario.hpp"
+#include "attack/killchain.hpp"
 #include "harness/measure.hpp"
 #include "harness/testbed.hpp"
 #include "products/catalog.hpp"
@@ -124,18 +124,18 @@ TEST(SinglePassSweepTest, AttachingLedgerNeverChangesDetection) {
   const TestbedConfig env = short_env();
   const products::ProductModel& model =
       products::product(products::ProductId::kFlowHunt);
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       4, SimTime::zero(), env.measure * 0.9,
       util::hash64("sweep") ^ env.seed, env.external_hosts,
       env.internal_hosts);
 
   Testbed plain(env, &model, 0.6);
-  const RunResult without = plain.run(scenario);
+  const RunResult without = plain.run(chain);
 
   score::ScoreLedger ledger;
   Testbed recorded(env, &model, 0.6);
   recorded.set_score_ledger(&ledger);
-  const RunResult with = recorded.run(scenario);
+  const RunResult with = recorded.run(chain);
 
   EXPECT_EQ(with.transactions, without.transactions);
   EXPECT_EQ(with.attacks, without.attacks);

@@ -22,7 +22,7 @@
 
 #include <gtest/gtest.h>
 
-#include "attack/scenario.hpp"
+#include "attack/killchain.hpp"
 #include "harness/testbed.hpp"
 #include "netsim/flow_tuple.hpp"
 #include "netsim/network.hpp"
@@ -94,12 +94,12 @@ TEST(ThroughputFloorTest, TestbedEventRate) {
   cfg.drain = SimTime::from_sec(2);
   Testbed bed(cfg, &products::product(products::ProductId::kGuardSecure),
               0.5);
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       1, SimTime::zero(), cfg.measure * 0.9,
       util::hash64("bench") ^ cfg.seed, cfg.external_hosts,
       cfg.internal_hosts);
   const double t0 = now_sec();
-  (void)bed.run(scenario);
+  (void)bed.run(chain);
   const double dt = now_sec() - t0;
   expect_floor("testbed events/s",
                static_cast<double>(bed.sim().executed()) / dt,

@@ -50,9 +50,9 @@ TEST_P(ConfusionInvariants, Figure3Identities) {
   const Case c = GetParam();
   const auto& model = products::product(c.product);
   Testbed bed(env_for(c.profile, c.seed), &model, 0.5);
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       2, SimTime::zero(), SimTime::from_sec(18), c.seed ^ 0xbeef, 3, 6);
-  const RunResult r = bed.run(scenario);
+  const RunResult r = bed.run(chain);
 
   // Set identities of Figure 3.
   EXPECT_EQ(r.attacks + (r.transactions - r.attacks), r.transactions);
@@ -109,12 +109,12 @@ TEST(EndToEndTest, DetectionSurfacesMatchEngineTypes) {
   // novel attacks; the anomaly product catches them; the hybrid research
   // system catches both families.
   const auto env = env_for("rt_cluster", 42);
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       3, SimTime::zero(), SimTime::from_sec(18), 4242, 3, 6);
 
   auto run_product = [&](ProductId id) {
     Testbed bed(env, &products::product(id), 0.5);
-    return bed.run(scenario);
+    return bed.run(chain);
   };
 
   const RunResult sentry = run_product(ProductId::kSentryNid);
@@ -143,14 +143,14 @@ TEST(EndToEndTest, DetectionSurfacesMatchEngineTypes) {
 TEST(EndToEndTest, AnomalyProductNoisierOnDiverseTraffic) {
   // §4: commercial environments with diverse content make behaviour-based
   // detection noisier than a tuned cluster does.
-  const auto scenario = attack::Scenario::mixed(
+  const auto chain = attack::KillChain::mixed(
       2, SimTime::zero(), SimTime::from_sec(18), 9, 3, 6);
   const auto& model = products::product(ProductId::kFlowHunt);
 
   Testbed cluster(env_for("rt_cluster", 77), &model, 0.6);
-  const RunResult on_cluster = cluster.run(scenario);
+  const RunResult on_cluster = cluster.run(chain);
   Testbed shop(env_for("ecommerce", 77), &model, 0.6);
-  const RunResult on_shop = shop.run(scenario);
+  const RunResult on_shop = shop.run(chain);
 
   const double cluster_fp_pct =
       static_cast<double>(on_cluster.false_alarms) /

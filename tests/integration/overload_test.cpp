@@ -50,11 +50,11 @@ TestbedConfig env_at(double rate_scale, std::uint64_t seed = 404) {
 RunResult run_with_attacks(const products::ProductModel& model,
                            double rate_scale) {
   Testbed bed(env_at(rate_scale), &model, 0.5);
-  const auto scenario = attack::Scenario::of_kinds(
+  const auto chain = attack::KillChain::of_kinds(
       {attack::AttackKind::kWebExploit, attack::AttackKind::kSmtpWorm,
        attack::AttackKind::kBruteForceLogin},
       4, SimTime::zero(), SimTime::from_sec(13), 11, 3, 6);
-  return bed.run(scenario);
+  return bed.run(chain);
 }
 
 TEST(OverloadTest, DetectionDegradesPastTheKnee) {

@@ -155,6 +155,30 @@ TEST(ParseJsonTest, RejectsMalformedInput) {
   }
 }
 
+std::string nested(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += i % 2 ? "{\"k\":" : "[";
+  text += "0";
+  for (std::size_t i = depth; i-- > 0;) text += i % 2 ? "}" : "]";
+  return text;
+}
+
+TEST(ParseJsonTest, NestingDepthIsCapped) {
+  EXPECT_TRUE(validate_json_line(nested(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), std::invalid_argument);
+  // Far past the cap, an unbalanced run of brackets is rejected at the
+  // cap instead of recursing once per byte.
+  const std::string hostile(1'000'000, '[');
+  try {
+    (void)parse_json(hostile);
+    FAIL() << "deeply nested input parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ParseJsonTest, AcceptsPaddedCompleteValues) {
   EXPECT_TRUE(validate_json_line("  {\"x\":[1,2.5,-3e-2],\"y\":null} "));
   EXPECT_TRUE(validate_json_line("true"));

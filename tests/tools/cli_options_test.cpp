@@ -74,6 +74,58 @@ TEST(CliOptionsTest, DeclaredOptionsAreAccepted) {
   std::remove(csv.c_str());
 }
 
+TEST(CliOptionsTest, MalformedNumbersNameTheOptionAndValue) {
+  // Every rejected value exits 2 before the command starts: no
+  // "evaluating" banner, no campaign store, no trace read.
+  const struct {
+    const char* args;
+    const char* message;
+  } cases[] = {
+      {"evaluate --product SentryNID --seed abc",
+       "error: --seed: expected a non-negative integer, got 'abc'"},
+      {"rank --jobs -1",
+       "error: --jobs: expected a non-negative integer, got '-1'"},
+      {"evaluate --product SentryNID --shards 2x",
+       "error: --shards: expected a non-negative integer, got '2x'"},
+      {"sweep --product SentryNID --steps 1.5",
+       "error: --steps: expected a non-negative integer, got '1.5'"},
+      {"sweep --product SentryNID --seed 99999999999999999999",
+       "error: --seed: expected a non-negative integer, got "
+       "'99999999999999999999'"},
+      {"evaluate --product SentryNID --sensitivity -0.5",
+       "error: --sensitivity: expected a non-negative number, got '-0.5'"},
+      {"rank --sensitivity nan",
+       "error: --sensitivity: expected a non-negative number, got 'nan'"},
+      {"campaign --spec no-such.spec --jobs",
+       "error: --jobs: expected a non-negative integer, got ''"},
+      {"trace-check --csv no-such.csv --expect-rows ' 3'",
+       "error: --expect-rows: expected a non-negative integer, got ' 3'"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_cli(c.args);
+    EXPECT_EQ(run.status, 2) << c.args << "\n" << run.output;
+    EXPECT_NE(run.output.find(c.message), std::string::npos)
+        << c.args << "\n" << run.output;
+    EXPECT_EQ(run.output.find("evaluating"), std::string::npos) << c.args;
+  }
+}
+
+TEST(CliOptionsTest, TraceCheckRejectsDeeplyNestedJson) {
+  // One line of a million '[' once overflowed the parser's stack; it is
+  // now an ordinary invalid line.
+  const std::string path =
+      ::testing::TempDir() + "idseval_cli_deep_nesting.jsonl";
+  {
+    std::ofstream out(path);
+    out << std::string(1'000'000, '[') << "\n";
+  }
+  const CliRun run = run_cli("trace-check " + path);
+  EXPECT_EQ(run.status, 1) << run.output;
+  EXPECT_NE(run.output.find("line 1 is not valid JSON"), std::string::npos)
+      << run.output;
+  std::remove(path.c_str());
+}
+
 TEST(CliOptionsTest, UnknownCommandPrintsUsage) {
   const CliRun run = run_cli("no-such-command");
   EXPECT_EQ(run.status, 2);

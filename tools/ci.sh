@@ -27,7 +27,9 @@ for preset in "${presets[@]}"; do
     # merge paths, the probe executor (priorities, withdrawal, helping
     # callers, the concurrency cap), the concurrent load searches
     # against their sequential oracle, and the probe telemetry merges.
-    IDSEVAL_SHARD_THREADS=1 ctest --preset "${preset}" \
+    # The suites run in parallel: most of the leg's time is the load
+    # searches, which are independent of one another.
+    IDSEVAL_SHARD_THREADS=1 ctest --preset "${preset}" -j"${jobs}" \
       --output-on-failure --no-tests=error \
       -R 'DeterminismTest|ShardPlanTest|ShardedSimulatorTest|RegistryTest|ScopedRegistryTest|ProbeExecutorTest|LoadSearchTest|LoadSearchDifferential|TestbedStopHookTest|ProbeTelemetryTest'
   else

@@ -29,8 +29,11 @@
 //
 // Each command accepts only the options it reads (command_options());
 // any other --name exits 2 with "error: unknown option --NAME for
-// COMMAND".
+// COMMAND". A numeric option whose value is not a plain non-negative
+// number exits 2 with "error: --NAME: expected ..., got 'VALUE'".
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -39,7 +42,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "attack/kind.hpp"
@@ -61,6 +66,7 @@
 #include "score/scorecard.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
+#include "util/strfmt.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -107,6 +113,41 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// The value of numeric option `name`, or `fallback` when it is absent.
+/// T is std::uint64_t (a non-negative integer) or double (a finite
+/// non-negative number). A sign, a non-digit, trailing junk, a missing
+/// value or overflow throws std::invalid_argument naming the option and
+/// the value.
+template <class T>
+T numeric_opt(const Args& args, const std::string& name, T fallback) {
+  const auto it = args.options.find(name);
+  if (it == args.options.end() && !args.has_flag(name)) return fallback;
+  const std::string text = it == args.options.end() ? "" : it->second;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && !std::signbit(value);
+  }
+  if (!ok) {
+    throw std::invalid_argument(util::cat(
+        "--", name, ": expected a non-negative ",
+        std::is_floating_point_v<T> ? "number" : "integer", ", got '", text,
+        "'"));
+  }
+  return value;
+}
+
+/// Parses every numeric option a command was given, so main() can exit 2
+/// on a bad value before the command does any work.
+void check_numeric_options(const Args& args) {
+  for (const char* name : {"seed", "jobs", "shards", "steps", "expect-rows"}) {
+    numeric_opt<std::uint64_t>(args, name, 0);
+  }
+  numeric_opt<double>(args, "sensitivity", 0.0);
+}
+
 std::optional<products::ProductId> product_by_name(const std::string& name) {
   for (const auto& model : products::product_catalog()) {
     if (model.name == name) return model.id;
@@ -132,13 +173,12 @@ void report_trace(const telemetry::TraceSink& trace) {
 harness::TestbedConfig make_env(const Args& args) {
   harness::TestbedConfig env;
   env.profile = traffic::profile_by_name(args.opt("profile", "rt_cluster"));
-  env.seed = static_cast<std::uint64_t>(
-      std::stoull(args.opt("seed", "42")));
+  env.seed = numeric_opt<std::uint64_t>(args, "seed", 42);
   // --shards N partitions each testbed over N event-queue shards
   // (results are byte-identical at any shard count; 1 = the legacy
   // single-queue engine).
   env.shards = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::stoull(args.opt("shards", "1"))));
+      1, numeric_opt<std::uint64_t>(args, "shards", 1));
   // --no-scan-cache replays the exact legacy full-rescan detection path
   // (regression pinning for the interned-payload scan cache). Results
   // are byte-identical either way; only wall-clock changes.
@@ -190,7 +230,7 @@ int cmd_evaluate(const Args& args) {
   }
   const harness::TestbedConfig env = make_env(args);
   harness::EvaluationOptions options;
-  options.sensitivity = std::stod(args.opt("sensitivity", "0.5"));
+  options.sensitivity = numeric_opt(args, "sensitivity", 0.5);
   options.include_load_metrics = args.has_flag("load-metrics");
   options.kill_chain = args.opt("kill-chain", "");
 
@@ -288,15 +328,14 @@ int cmd_evaluate(const Args& args) {
 int cmd_rank(const Args& args) {
   const harness::TestbedConfig env = make_env(args);
   harness::EvaluationOptions options;
-  options.sensitivity = std::stod(args.opt("sensitivity", "0.5"));
+  options.sensitivity = numeric_opt(args, "sensitivity", 0.5);
   options.include_load_metrics = args.has_flag("load-metrics");
   options.kill_chain = args.opt("kill-chain", "");
 
   // --jobs N spreads the per-product evaluations over the thread pool;
   // each evaluation is deterministic on its own, so the ranking is
   // identical at any job count.
-  const std::size_t jobs = static_cast<std::size_t>(
-      std::stoull(args.opt("jobs", "1")));
+  const std::size_t jobs = numeric_opt<std::uint64_t>(args, "jobs", 1);
   const auto& catalog = products::product_catalog();
   auto trace = open_trace(args);
   // Full evaluations (not just cards) so the load-probe registries are
@@ -400,11 +439,12 @@ int cmd_sweep(const Args& args) {
     return 2;
   }
   const harness::TestbedConfig env = make_env(args);
-  const int steps = std::stoi(args.opt("steps", "11"));
+  const std::uint64_t steps = numeric_opt<std::uint64_t>(args, "steps", 11);
   std::vector<double> sensitivities;
-  for (int i = 0; i < steps; ++i) {
-    sensitivities.push_back(static_cast<double>(i) /
-                            std::max(1, steps - 1));
+  for (std::uint64_t i = 0; i < steps; ++i) {
+    sensitivities.push_back(
+        static_cast<double>(i) /
+        static_cast<double>(std::max<std::uint64_t>(1, steps - 1)));
   }
   // --single-pass records per-transaction evidence in ONE simulation and
   // derives every sweep point offline; the default re-simulates the
@@ -467,9 +507,9 @@ int cmd_campaign(const Args& args) {
   campaign::CampaignSpec spec = campaign::CampaignSpec::parse(text.str());
   // --shards overrides the spec before the store opens, so the engine
   // choice lands in the fingerprint and a mismatched --resume is refused.
-  if (const std::string shards = args.opt("shards", ""); !shards.empty()) {
-    spec.shards = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::stoull(shards)));
+  if (args.options.contains("shards")) {
+    spec.shards =
+        std::max<std::size_t>(1, numeric_opt<std::uint64_t>(args, "shards", 1));
   }
 
   const std::filesystem::path out_dir = args.opt("out", "campaign-out");
@@ -492,8 +532,7 @@ int cmd_campaign(const Args& args) {
   telemetry::Registry aggregate_telemetry;
 
   campaign::RunOptions run_options;
-  run_options.jobs = static_cast<std::size_t>(
-      std::stoull(args.opt("jobs", "1")));
+  run_options.jobs = numeric_opt<std::uint64_t>(args, "jobs", 1);
   run_options.telemetry = &aggregate_telemetry;
   run_options.trace = trace.get();
   if (trace) {
@@ -658,10 +697,9 @@ int check_csv_file(const Args& args) {
     std::fprintf(stderr, "trace-check: %s: %s\n", path.c_str(), e.what());
     return 1;
   }
-  const std::string expect = args.opt("expect-rows", "");
-  if (!expect.empty()) {
+  if (args.options.contains("expect-rows")) {
     const std::size_t want =
-        static_cast<std::size_t>(std::stoull(expect));
+        numeric_opt<std::uint64_t>(args, "expect-rows", 0);
     if (shape.data_rows != want) {
       std::fprintf(stderr,
                    "trace-check: %s has %zu data rows, expected %zu\n",
@@ -829,6 +867,12 @@ int main(int argc, char** argv) {
                    name.c_str(), args.command.c_str());
       return 2;
     }
+  }
+  try {
+    check_numeric_options(args);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
   try {
     if (args.command == "products") return cmd_products();
