@@ -313,22 +313,24 @@ class ProbeMemo {
 
 /// A measurement driven probe by probe. advance() consumes every
 /// finished probe in the sequential search's order and claims what comes
-/// next; it returns true once the answer is known.
+/// next. It returns the one unfinished probe the search is blocked on, or
+/// null once the answer is known; a search never names a probe it is not
+/// waiting for, so its caller wakes only when it can make progress.
 class Search {
  public:
   virtual ~Search() = default;
-  virtual bool advance() = 0;
-  /// Unfinished probes the search is blocked on.
-  virtual std::vector<ProbeRef> blocking() const = 0;
+  virtual ProbeRef advance() = 0;
 };
 
 /// Runs searches side by side on the calling thread until all finish.
+/// Only a finished search returns null, so an empty wait list means all
+/// are done; a probe that finishes after advance() looked at it makes
+/// wait_any return at once.
 void run_searches(ProbeMemo& memo, std::initializer_list<Search*> all) {
   for (;;) {
     std::vector<ProbeRef> waiting;
     for (Search* search : all) {
-      if (search->advance()) continue;
-      for (ProbeRef& p : search->blocking()) waiting.push_back(std::move(p));
+      if (ProbeRef p = search->advance()) waiting.push_back(std::move(p));
     }
     if (waiting.empty()) return;
     memo.wait_any(waiting);
@@ -385,20 +387,16 @@ class ZeroLossSearch final : public Search {
         claims_(memo, ProbeKind::kClean),
         state_(settle(State{})) {}
 
-  bool advance() override {
+  ProbeRef advance() override {
     while (state_.phase != Phase::kDone) {
       speculate();
       const ProbeRef& probe = claims_.at(scale_of(state_));
-      if (!memo_.finished(probe)) return false;
+      if (!memo_.finished(probe)) return probe;
       const LoadPoint& p = memo_.consume(probe, Measure::kZeroLoss);
       state_ = next(state_, zero_loss_passes(p, loss_epsilon_), p.offered_pps);
     }
     claims_.set({});
-    return true;
-  }
-
-  std::vector<ProbeRef> blocking() const override {
-    return {claims_.at(scale_of(state_))};
+    return nullptr;
   }
 
   double result() const noexcept { return state_.result; }
@@ -529,23 +527,15 @@ class PointsSearch final : public Search {
     claims_.set(wanted);
   }
 
-  bool advance() override {
-    if (done_) return true;
-    for (const double scale : scales_) {
-      if (!memo_.finished(claims_.at(scale))) return false;
-    }
-    for (const double scale : scales_) {
-      points_.push_back(memo_.consume(claims_.at(scale), measure_));
+  /// Consumes the points in list order, blocked on the first unread.
+  ProbeRef advance() override {
+    while (points_.size() < scales_.size()) {
+      const ProbeRef& probe = claims_.at(scales_[points_.size()]);
+      if (!memo_.finished(probe)) return probe;
+      points_.push_back(memo_.consume(probe, measure_));
     }
     claims_.set({});
-    done_ = true;
-    return true;
-  }
-
-  std::vector<ProbeRef> blocking() const override {
-    std::vector<ProbeRef> out;
-    for (const double scale : scales_) out.push_back(claims_.at(scale));
-    return out;
+    return nullptr;
   }
 
   const std::vector<LoadPoint>& points() const noexcept { return points_; }
@@ -556,7 +546,6 @@ class PointsSearch final : public Search {
   std::vector<double> scales_;
   Claims claims_;
   std::vector<LoadPoint> points_;
-  bool done_ = false;
 };
 
 /// The System Throughput ladder: every rung is needed, so all run at
@@ -584,7 +573,7 @@ class LethalDoseSearch final : public Search {
     }
   }
 
-  bool advance() override {
+  ProbeRef advance() override {
     while (next_ < rungs_.size() && !result_) {
       std::map<double, int> wanted;
       for (std::size_t d = 0;
@@ -594,17 +583,13 @@ class LethalDoseSearch final : public Search {
       }
       claims_.set(wanted);
       const ProbeRef& probe = claims_.at(rungs_[next_]);
-      if (!memo_.finished(probe)) return false;
+      if (!memo_.finished(probe)) return probe;
       const LoadPoint& p = memo_.consume(probe, Measure::kLethalDose);
       if (p.failures > 0) result_ = p.offered_pps;
       ++next_;
     }
     claims_.set({});
-    return true;
-  }
-
-  std::vector<ProbeRef> blocking() const override {
-    return {claims_.at(rungs_[next_])};
+    return nullptr;
   }
 
   std::optional<double> result() const noexcept { return result_; }
@@ -629,11 +614,12 @@ class LatencySearch final : public Search {
     baseline_.set({{scale_, kIndependentPriority}});
   }
 
-  bool advance() override {
-    if (done_) return true;
+  ProbeRef advance() override {
+    if (done_) return nullptr;
     const ProbeRef& a = with_ids_.at(scale_);
     const ProbeRef& b = baseline_.at(scale_);
-    if (!memo_.finished(a) || !memo_.finished(b)) return false;
+    if (!memo_.finished(a)) return a;
+    if (!memo_.finished(b)) return b;
     const double with_ids =
         memo_.consume(a, Measure::kLatency).mean_delivery_latency_sec;
     const double baseline =
@@ -642,11 +628,7 @@ class LatencySearch final : public Search {
     with_ids_.set({});
     baseline_.set({});
     done_ = true;
-    return true;
-  }
-
-  std::vector<ProbeRef> blocking() const override {
-    return {with_ids_.at(scale_), baseline_.at(scale_)};
+    return nullptr;
   }
 
   double result() const noexcept { return result_; }

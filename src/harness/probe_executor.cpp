@@ -144,7 +144,10 @@ void ProbeExecutor::wait_any(std::span<const TaskRef> tasks) {
   };
   std::unique_lock lock(mutex_);
   for (;;) {
-    if (any_finished()) return;
+    if (any_finished()) {
+      ++wakes_;
+      return;
+    }
     // Help rather than idle: a free slot means no worker has claimed
     // the queued work yet.
     if (can_start()) {
@@ -153,6 +156,11 @@ void ProbeExecutor::wait_any(std::span<const TaskRef> tasks) {
     }
     changed_.wait(lock, [&] { return any_finished() || can_start(); });
   }
+}
+
+std::uint64_t ProbeExecutor::wakes() {
+  std::scoped_lock lock(mutex_);
+  return wakes_;
 }
 
 void ProbeExecutor::wait(const TaskRef& task) {

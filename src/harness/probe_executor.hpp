@@ -2,10 +2,11 @@
 // simulations (harness/measure.hpp). A probe is a leaf task: it builds a
 // testbed, runs it and stores its result, and never waits on another
 // task. The searches that decide which probes to run stay on their
-// caller's thread and block in wait_any(), which runs queued probes
-// itself whenever a slot is free — so evaluations nested inside other
-// pools (rank slots, campaign cells) can neither deadlock nor
-// oversubscribe the machine: at most concurrency() probes, hence
+// caller's thread. Each names only the one probe it is blocked on, and
+// the caller sleeps in wait_any() until one of those finishes, running
+// queued probes itself whenever a slot is free — so evaluations nested
+// inside other pools (rank slots, campaign cells) can neither deadlock
+// nor oversubscribe the machine: at most concurrency() probes, hence
 // testbeds, are live at once across every caller.
 #pragma once
 
@@ -52,6 +53,10 @@ class ProbeExecutor {
   /// tasks on the calling thread while a slot is free. Returns at once
   /// when `tasks` is empty.
   void wait_any(std::span<const TaskRef> tasks);
+  /// How many times wait_any() returned with a task finished. Host-side:
+  /// it depends on thread timing, so it never enters a telemetry
+  /// registry (whose contents are simulated-time only).
+  std::uint64_t wakes();
   /// Blocks until `task` is finished; never runs other tasks, so it is
   /// safe from destructors and unwinding paths.
   void wait(const TaskRef& task);
@@ -70,6 +75,7 @@ class ProbeExecutor {
   std::vector<TaskRef> queue_;
   std::size_t running_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t wakes_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

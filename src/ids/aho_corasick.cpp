@@ -86,26 +86,29 @@ std::vector<AhoCorasick::Match> AhoCorasick::find_all(
   return matches;
 }
 
-std::vector<std::size_t> AhoCorasick::find_set(std::string_view text) const {
-  std::vector<bool> seen(patterns_.size(), false);
+void AhoCorasick::find_set(std::string_view text,
+                           std::vector<std::size_t>& out) const {
+  // `out` doubles as the seen-flags, indexed by pattern id, and is then
+  // compacted in place: the k-th seen id never lands past its own flag.
+  out.assign(patterns_.size(), 0);
   std::size_t remaining = patterns_.size();
   std::int32_t node = 0;
   for (const char ch : text) {
     node = next_[static_cast<std::size_t>(node)]
                 [static_cast<unsigned char>(ch)];
     for (const std::int32_t pid : output_[static_cast<std::size_t>(node)]) {
-      if (!seen[static_cast<std::size_t>(pid)]) {
-        seen[static_cast<std::size_t>(pid)] = true;
+      if (out[static_cast<std::size_t>(pid)] == 0) {
+        out[static_cast<std::size_t>(pid)] = 1;
         if (--remaining == 0) break;
       }
     }
     if (remaining == 0) break;
   }
-  std::vector<std::size_t> out;
-  for (std::size_t pid = 0; pid < seen.size(); ++pid) {
-    if (seen[pid]) out.push_back(pid);
+  std::size_t seen = 0;
+  for (std::size_t pid = 0; pid < out.size(); ++pid) {
+    if (out[pid] != 0) out[seen++] = pid;
   }
-  return out;
+  out.resize(seen);
 }
 
 bool AhoCorasick::contains_any(std::string_view text) const {

@@ -27,9 +27,10 @@ class AhoCorasick {
   /// Scans `text`, returning every match (including overlaps).
   std::vector<Match> find_all(std::string_view text) const;
 
-  /// Scan that only reports which patterns occurred (deduplicated),
-  /// cheaper when positions don't matter.
-  std::vector<std::size_t> find_set(std::string_view text) const;
+  /// Scan that only reports which patterns occurred, cheaper when
+  /// positions don't matter: `out` becomes the ascending, deduplicated
+  /// ids. Reusing one `out` across calls makes the scan allocation-free.
+  void find_set(std::string_view text, std::vector<std::size_t>& out) const;
 
   /// True if any pattern occurs.
   bool contains_any(std::string_view text) const;

@@ -147,8 +147,7 @@ const SignatureEngine::CachedHits& SignatureEngine::cached_hits(
 void SignatureEngine::check_patterns(const Packet& packet, SimTime now,
                                      double min_conf,
                                      std::vector<Detection>& out) {
-  const std::vector<std::size_t>* hits = nullptr;
-  std::vector<std::size_t> local;
+  const std::vector<std::size_t>* hits = &scan_hits_;
   if (options_.stream_reassembly) {
     TailBuffer& tail = *stream_tail_.try_emplace(packet.flow_id).first;
     if (options_.scan_cache && packet.payload != nullptr) {
@@ -166,8 +165,8 @@ void SignatureEngine::check_patterns(const Packet& packet, SimTime now,
       scan_buf_.assign(tail.data(), tail.size());
       scan_buf_.append(payload, 0, prefix);
       telemetry::bump(boundary_rescans_);
-      const std::vector<std::size_t> boundary = matcher_->find_set(scan_buf_);
-      merge_sorted_unique(boundary, cached_hits(packet.payload, prefix).ids,
+      matcher_->find_set(scan_buf_, scan_hits_);
+      merge_sorted_unique(scan_hits_, cached_hits(packet.payload, prefix).ids,
                           merged_hits_);
       hits = &merged_hits_;
     } else {
@@ -175,15 +174,13 @@ void SignatureEngine::check_patterns(const Packet& packet, SimTime now,
       // tail concatenated with the whole payload.
       scan_buf_.assign(tail.data(), tail.size());
       scan_buf_.append(packet.payload_view());
-      local = matcher_->find_set(scan_buf_);
-      hits = &local;
+      matcher_->find_set(scan_buf_, scan_hits_);
     }
     tail.append(packet.payload_view(), options_.reassembly_tail_bytes);
   } else if (options_.scan_cache && packet.payload != nullptr) {
     hits = &cached_hits(packet.payload, 0).ids;
   } else {
-    local = matcher_->find_set(packet.payload_view());
-    hits = &local;
+    matcher_->find_set(packet.payload_view(), scan_hits_);
   }
   for (const std::size_t pid : *hits) {
     const PatternRule& rule = rules_.patterns[pattern_rule_index_[pid]];

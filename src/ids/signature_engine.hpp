@@ -176,6 +176,7 @@ class SignatureEngine {
   PayloadMemo<CachedHits> payload_memo_;
   CachedHits scratch_hits_;  ///< Fallback when the memo is at capacity.
   std::string scan_buf_;     ///< Reused tail||payload / window scratch.
+  std::vector<std::size_t> scan_hits_;    ///< Reused find_set output.
   std::vector<std::size_t> merged_hits_;  ///< Reused union scratch.
   telemetry::Counter* boundary_rescans_;
   FiredSet fired_;  ///< Exact (rule_tag, flow) pairs (see fired_set.hpp).

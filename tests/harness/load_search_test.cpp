@@ -283,6 +283,26 @@ TEST(LoadSearchTest, CallersSharingOneExecutorAgree) {
   for (const LoadMetrics& m : got) expect_identical(m, want);
 }
 
+TEST(LoadSearchTest, SearchThreadWakesOnlyOnFinishedProbes) {
+  // Each search names only the probe it is blocked on, so the caller's
+  // wait returns once per finished probe at most: every probe task ran
+  // for a consumer (harness.probes) or was a speculative discard. A
+  // search that named finished probes would spin through thousands.
+  const products::ProductModel model =
+      slowed(products::ProductId::kSentryNid, kSlowdown);
+  const TestbedConfig env = tiny_env("rt_cluster", 11);
+  telemetry::Registry reg;
+  ProbeExecutor executor(4);
+  RunContext ctx(&reg);
+  ctx.set_probe_executor(&executor);
+  (void)measure_load_metrics(env, model, 0.5, small_ranges(), &ctx);
+  const std::uint64_t tasks =
+      counter(reg, names::kHarnessProbes) +
+      counter(reg, names::kHarnessProbeSpeculativeDiscards);
+  EXPECT_GT(tasks, 0u);
+  EXPECT_LE(executor.wakes(), tasks + 1);
+}
+
 TEST(TestbedStopHookTest, HookThatNeverFiresLeavesTheRunUnchanged) {
   const auto& model = products::product(products::ProductId::kGuardSecure);
   TestbedConfig env = tiny_env("rt_cluster", 17);

@@ -6,9 +6,10 @@
 //              before the allocation-free callbacks and pooled payloads;
 //   megaflow — the megaflow profile scaled to 2,000 hosts and 5k flow
 //              arrivals per sim-second, with a FlowTuple-keyed live-flow
-//              tracker on the mirror tap, must create at least 2,000
-//              flows per wall second (a flow-table probe chain gone
-//              quadratic shows up as orders of magnitude here).
+//              tracker on the mirror tap, must create at least 6,000
+//              flows per wall second, about a third of what an optimized
+//              build on 4 vCPUs measures (a uniform 10x slowdown, or a
+//              flow-table probe chain gone quadratic, falls below it).
 //
 // The floors fail only on optimized (NDEBUG), sanitizer-free builds. An
 // unoptimized or sanitized build cannot speak for wall-clock rates, so
@@ -40,7 +41,7 @@ namespace {
 using netsim::SimTime;
 
 constexpr double kTestbedEventsPerSecFloor = 1.3 * 772274.0;
-constexpr double kMegaflowFlowsPerSecFloor = 2000.0;
+constexpr double kMegaflowFlowsPerSecFloor = 6000.0;
 
 constexpr bool sanitized_build() {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
