@@ -1,6 +1,6 @@
 // Conservative parallel discrete-event engine: N independent Simulators
-// ("shards"), each owning its own binary-heap event queue, advanced in
-// lockstep windows bounded by a lookahead horizon. The horizon is the
+// ("shards"), each owning its own event heap, advanced in lockstep
+// windows bounded by a lookahead horizon. The horizon is the
 // minimum declared cross-shard channel delay — for packet channels that
 // is the cross-shard Link's propagation latency, which the constant-
 // latency FIFO links guarantee is a valid lower bound on send-to-arrival.

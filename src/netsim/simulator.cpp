@@ -1,14 +1,15 @@
 #include "netsim/simulator.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace idseval::netsim {
 
 namespace {
-// Enough for the default testbed profiles (peak pending events in a
-// campaign cell sit in the low thousands); one reallocation ladder at
-// startup, then steady-state pushes reuse the storage.
+// Enough for a default campaign cell, whose pending events sit in the low
+// thousands (an overloaded load probe parks a few thousand sensor
+// completions). Flow-scale profiles hold one pending step per live flow,
+// about 130k-260k on megaflow, and grow the storage on demand: one
+// doubling ladder per run, then steady-state pushes reuse it.
 constexpr std::size_t kInitialEventCapacity = 4096;
 }  // namespace
 
@@ -44,8 +45,35 @@ void Simulator::schedule_at_lane(SimTime when, std::uint32_t lane,
   // simulator before wraparound, far beyond any profile.
   const std::uint64_t key =
       (static_cast<std::uint64_t>(lane) << 40) | ++seq_;
-  heap_.push_back(Event{when, key, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Event{when, key, slot});
+}
+
+void Simulator::sift_up(std::size_t hole, Event ev) noexcept {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (!earlier(ev, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = ev;
+}
+
+void Simulator::sift_down(std::size_t hole, Event ev) noexcept {
+  const std::size_t size = heap_.size();
+  for (;;) {
+    const std::size_t first = hole * kArity + 1;
+    if (first >= size) break;
+    const std::size_t last = first + kArity < size ? first + kArity : size;
+    std::size_t best = first;
+    for (std::size_t child = first + 1; child < last; ++child) {
+      if (earlier(heap_[child], heap_[best])) best = child;
+    }
+    if (!earlier(heap_[best], ev)) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = ev;
 }
 
 void Simulator::schedule_in(SimTime delay, Callback cb) {
@@ -69,9 +97,10 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 bool Simulator::step(SimTime deadline) {
   if (heap_.empty()) return false;
   if (heap_.front().when > deadline) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Event ev = heap_.back();
+  const Event ev = heap_.front();
+  const Event tail = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, tail);
   // Move the callback out and recycle its slot before invoking, so
   // events the callback schedules can reuse it immediately.
   Callback cb = std::move(slab_[ev.slot]);

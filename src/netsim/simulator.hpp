@@ -8,12 +8,15 @@
 // The hot path is allocation-free in steady state: callbacks are
 // move-only InlineCallbacks (captures stored in place, no per-event
 // std::function heap cell) parked in a recycled slab, and the event
-// queue is a binary heap of 24-byte (when, seq, slot) keys over a
-// reserved vector — heap sifts move small keys, never the ~150-byte
-// callback storage. Oversized captures take a heap fallback, counted in
-// alloc_fallbacks() and the "sim.callback_fallbacks" telemetry counter.
+// queue is a 4-ary implicit min-heap of 24-byte (when, seq, slot) keys
+// over a reserved vector — heap sifts move small keys, never the
+// ~150-byte callback storage, and the four-way fan-out halves the depth
+// a flow-scale queue (one pending event per live flow) sifts through.
+// Oversized captures take a heap fallback, counted in alloc_fallbacks()
+// and the "sim.callback_fallbacks" telemetry counter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -95,12 +98,17 @@ class Simulator {
     std::uint64_t seq;
     std::uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
+  /// Strict order on (when, seq). seq is unique per simulator, so no two
+  /// pending events compare equal and the pop order is a total order.
+  static bool earlier(const Event& a, const Event& b) noexcept {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
+  /// Children of heap index i sit at kArity*i + 1 .. kArity*i + kArity.
+  static constexpr std::size_t kArity = 4;
+  /// Hole-based sifts: the moving entry is written once, at its final
+  /// index; entries on the way shift by one level.
+  void sift_up(std::size_t hole, Event ev) noexcept;
+  void sift_down(std::size_t hole, Event ev) noexcept;
 
   SimTime now_;
   std::uint64_t seq_ = 0;
@@ -109,7 +117,7 @@ class Simulator {
   std::uint64_t flow_ids_ = 0;
   std::uint64_t alloc_fallbacks_ = 0;
   telemetry::Counter* tele_fallbacks_ = nullptr;
-  std::vector<Event> heap_;  ///< Binary min-heap on (when, seq).
+  std::vector<Event> heap_;  ///< 4-ary min-heap on (when, seq).
   std::vector<Callback> slab_;          ///< Parked callbacks, by slot.
   std::vector<std::uint32_t> free_slots_;  ///< Recycled slab slots.
 };

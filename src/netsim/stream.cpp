@@ -1,7 +1,6 @@
 #include "netsim/stream.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace idseval::netsim {
 
@@ -9,11 +8,11 @@ StreamTracker::StreamTracker(SimTime idle_timeout)
     : idle_timeout_(idle_timeout) {}
 
 const StreamInfo& StreamTracker::observe(const Packet& packet) {
-  const FiveTuple key = packet.tuple.canonical();
-  auto [it, inserted] = streams_.try_emplace(key);
-  StreamInfo& info = it->second;
+  const FlowTuple key = FlowTuple::from(packet.tuple).canonical();
+  auto [slot, inserted] = streams_.try_emplace(key);
+  StreamInfo& info = *slot;
   if (inserted) {
-    info.key = key;
+    info.key = key.to_five_tuple();
     info.first_seen = packet.created;
     info.state = packet.flags.syn ? StreamState::kSynSeen
                                   : StreamState::kEstablished;
@@ -38,17 +37,16 @@ const StreamInfo& StreamTracker::observe(const Packet& packet) {
 }
 
 void StreamTracker::expire(SimTime now) {
-  std::vector<FiveTuple> dead;
-  for (const auto& [key, info] : streams_) {
+  dead_.clear();
+  streams_.for_each([&](const FlowTuple& key, const StreamInfo& info) {
     const bool idle = now - info.last_seen > idle_timeout_;
-    if (idle || info.state == StreamState::kClosed) dead.push_back(key);
-  }
-  for (const auto& key : dead) streams_.erase(key);
+    if (idle || info.state == StreamState::kClosed) dead_.push_back(key);
+  });
+  for (const FlowTuple& key : dead_) streams_.erase(key);
 }
 
 const StreamInfo* StreamTracker::find(const FiveTuple& tuple) const {
-  const auto it = streams_.find(tuple.canonical());
-  return it == streams_.end() ? nullptr : &it->second;
+  return streams_.find(FlowTuple::from(tuple).canonical());
 }
 
 }  // namespace idseval::netsim

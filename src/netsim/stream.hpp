@@ -4,9 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "netsim/address.hpp"
+#include "netsim/flow_tuple.hpp"
 #include "netsim/packet.hpp"
 #include "netsim/sim_time.hpp"
 
@@ -29,6 +30,11 @@ struct StreamInfo {
 };
 
 /// Observes packets and maintains per-session state with idle expiry.
+/// Sessions live in a packed-key FlowMap keyed by the canonical tuple.
+/// The table is deliberately not bound to the flowtable.* telemetry
+/// counters: they feed campaign rows and util.flowtable.probes_per_lookup,
+/// which stay comparable across versions only while the set of bound
+/// tables is fixed.
 class StreamTracker {
  public:
   explicit StreamTracker(SimTime idle_timeout = SimTime::from_sec(60));
@@ -48,7 +54,8 @@ class StreamTracker {
 
  private:
   SimTime idle_timeout_;
-  std::unordered_map<FiveTuple, StreamInfo, FiveTupleHash> streams_;
+  FlowMap<StreamInfo> streams_;
+  std::vector<FlowTuple> dead_;  ///< expire's scratch list, reused.
   std::uint64_t total_seen_ = 0;
   std::size_t peak_ = 0;
 };

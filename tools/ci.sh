@@ -82,7 +82,7 @@ for preset in "${presets[@]}"; do
     # passing as a silent no-op.)
     echo "==== flow-table focus (${preset}) ===="
     ctest --preset "${preset}" --output-on-failure --no-tests=error \
-      -R 'FlowTableTest|FlowTupleTest|KeyAliasingTest|FlowStateEvictionTest|CallbackFallbackTest|ThroughputFloorTest.MegaflowFlowRate'
+      -R 'FlowTableTest|FlowTableDifferential|EventQueueDifferential|StreamTrackerDifferential|FlowTupleTest|KeyAliasingTest|FlowStateEvictionTest|CallbackFallbackTest|ThroughputFloorTest.MegaflowFlowRate'
     # Batch-invariance focus run: each packet and detection hand-off has
     # one batch-shaped entry, so the randomized differential test feeds
     # the same streams as random splits and as batches of one through
